@@ -197,8 +197,91 @@ def _prepare_shapes(shapes: np.ndarray, eps_load: float):
     return inv, logdet
 
 
+def _pack_outer_products(units: np.ndarray) -> np.ndarray:
+    """Real packing of the outer products z z^H of every bin and frame.
+
+    Args:
+        units: (F, T, D) unit observations.
+
+    Returns:
+        (F, D*D, T) float64 features. Along the second axis come the D
+        values |z_d|^2, then Re(z_d conj(z_e)) for the P = D(D-1)/2 pairs
+        d < e in ``np.triu_indices`` order, then Im(z_d conj(z_e)) for the
+        same pairs.
+    """
+    bins, frames, dim = units.shape
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = len(rows)
+    chans = units.transpose(0, 2, 1)
+    feats = np.empty((bins, dim * dim, frames))
+    feats[:, :dim] = chans.real ** 2 + chans.imag ** 2
+    for p, (d, e) in enumerate(zip(rows, cols)):
+        cross = chans[:, d] * chans[:, e].conj()
+        feats[:, dim + p] = cross.real
+        feats[:, dim + pairs + p] = cross.imag
+    return feats
+
+
+def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
+    """(..., D*D) real packing, as built by :func:`_pack_outer_products`,
+    back to (..., D, D) Hermitian matrices."""
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = len(rows)
+    diag = np.arange(dim)
+    upper = packed[..., dim:dim + pairs] + 1j * packed[..., dim + pairs:]
+    out = np.empty(packed.shape[:-1] + (dim, dim), dtype=np.complex128)
+    out[..., diag, diag] = packed[..., :dim]
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper.conj()
+    return out
+
+
+def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real quadratic form z^H B^-1 z as one GEMM over packed features.
+
+    For Hermitian B^-1, z^H B^-1 z = sum_d B^-1_dd |z_d|^2
+    + sum_{d<e} 2 Re(B^-1_de) Re(z_d conj z_e) + 2 Im(B^-1_de) Im(z_d conj z_e),
+    so the coefficients of the packed features are diag(B^-1), then
+    2 Re B^-1_de, then 2 Im B^-1_de.
+
+    Args:
+        feats: (F, D*D, T) features from :func:`_pack_outer_products`.
+        inv: (F, K, D, D) Hermitian inverses.
+        out: (F, K, T) float64 buffer the result is written to.
+
+    Returns:
+        ``out``, clipped away from zero.
+    """
+    dim = inv.shape[-1]
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = len(rows)
+    upper = inv[..., rows, cols]
+    coeffs = np.empty(inv.shape[:-2] + (dim * dim,))
+    coeffs[..., :dim] = np.diagonal(inv, axis1=-2, axis2=-1).real
+    coeffs[..., dim:dim + pairs] = 2.0 * upper.real
+    coeffs[..., dim + pairs:] = 2.0 * upper.imag
+    np.matmul(coeffs, feats, out=out)
+    return np.clip(out, 1e-12, None, out=out)
+
+
 def _em_block(units, valid, active, gamma, config):
     """Run the EM iterations for one block of frequency bins.
+
+    Both EM steps are real batched matrix products against one feature
+    tensor ``feats`` of shape (F, D*D, T), built once per block by
+    :func:`_pack_outer_products`: per bin and frame it holds z z^H packed
+    as the D values |z_d|^2, then Re and then Im of z_d conj(z_e) for the
+    pairs d < e. Shape matrices live in the same packing between steps.
+
+    - M-step: sum_t (gamma / q) z z^H is ``scaled @ feats.T``, a GEMM of
+      (F, K, T) by (F, T, D*D), unpacked to Hermitian (F, K, D, D).
+    - E-step: q = z^H B^-1 z is ``coeffs @ feats``, (F, K, D*D) by
+      (F, D*D, T), where ``coeffs`` holds diag(B^-1), 2 Re B^-1_de and
+      2 Im B^-1_de for d < e (see :func:`_quadratic_form`).
+
+    Block size: :func:`em_fit` passes F = 2**20 // (K * T * D) bins at a
+    time (at least one), so ``feats`` takes about 8 * 2**20 * D / K bytes,
+    8 MB when D = K, and each (F, K, T) array about 8 * 2**20 / D bytes.
 
     Args:
         units: (F, T, D) unit observations.
@@ -213,62 +296,60 @@ def _em_block(units, valid, active, gamma, config):
     """
     bins, frames, dim = units.shape
     classes = active.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    shapes = np.broadcast_to(eye, (bins, classes, dim, dim)).copy()
+    feats = _pack_outer_products(units)
+    feats_t = feats.transpose(0, 2, 1)
+    eye = np.zeros(dim * dim)
+    eye[:dim] = 1.0
+    packed = np.broadcast_to(eye, (bins, classes, dim * dim)).copy()
+    shapes = _unpack_hermitian(packed, dim)
     weights = np.full((bins, classes), 1.0 / classes)
 
     # Posterior of invalid frames: uniform over the admissible classes.
     uniform = (active / active.sum(axis=0, keepdims=True))[None, :, :]
+    inactive = ~active[None, :, :]
+    invalid = ~valid[:, None, :]
 
+    quad = np.empty((bins, classes, frames))
     inv, logdet = _prepare_shapes(shapes, config.eps_load)
-    quad = _quadratic_form(units, inv)
+    _quadratic_form(feats, inv, quad)
     likelihoods = np.zeros(config.iterations)
 
     for it in range(config.iterations):
         # M-step: re-estimate weights and shape matrices from the current
         # posteriors; invalid frames carry no weight.
-        masked = gamma * valid[:, None, :]
-        denom = masked.sum(axis=-1)
-        scaled = masked / quad
-        numer = np.einsum("fkt,ftd,fte->fkde", scaled, units, units.conj(), optimize=True)
-        update = dim * numer / np.maximum(denom, 1e-300)[:, :, None, None]
-        shapes = np.where((denom > 0.0)[:, :, None, None], update, shapes)
-        shapes = 0.5 * (shapes + np.swapaxes(shapes, -1, -2).conj())
-        trace = np.einsum("...dd->...", shapes).real
-        shapes = np.where(
-            (trace > 1e-300)[:, :, None, None], shapes * (dim / np.maximum(trace, 1e-300))[:, :, None, None], eye
+        scaled = gamma * valid[:, None, :]
+        denom = scaled.sum(axis=-1)
+        scaled /= quad
+        update = dim * (scaled @ feats_t) / np.maximum(denom, 1e-300)[:, :, None]
+        packed = np.where((denom > 0.0)[:, :, None], update, packed)
+        trace = packed[..., :dim].sum(axis=-1)
+        packed = np.where(
+            (trace > 1e-300)[:, :, None], packed * (dim / np.maximum(trace, 1e-300))[:, :, None], eye
         )
+        shapes = _unpack_hermitian(packed, dim)
 
         total = denom.sum(axis=-1, keepdims=True)
         weights = np.where(total > 0.0, denom / np.maximum(total, 1e-300), 1.0 / classes)
         weights = np.maximum(weights, config.weight_floor)
         weights = weights / weights.sum(axis=-1, keepdims=True)
 
-        # E-step: clamped posteriors under the refreshed parameters.
+        # E-step: clamped posteriors under the refreshed parameters. The
+        # noise class is always active, so the peak is finite and the
+        # normaliser is at least exp(0) = 1.
         inv, logdet = _prepare_shapes(shapes, config.eps_load)
-        quad = _quadratic_form(units, inv)
-        log_score = (
-            np.log(weights)[:, :, None]
-            - logdet[:, :, None]
-            - dim * np.log(quad)
-        )
-        log_score = np.where(active[None, :, :], log_score, -np.inf)
+        _quadratic_form(feats, inv, quad)
+        log_score = np.log(quad)
+        log_score *= -dim
+        log_score += (np.log(weights) - logdet)[:, :, None]
+        np.copyto(log_score, -np.inf, where=inactive)
         peak = log_score.max(axis=1, keepdims=True)
-        log_norm = peak + np.log(
-            np.sum(np.exp(log_score - peak), axis=1, keepdims=True)
-        )
-        gamma = np.where(active[None, :, :], np.exp(log_score - log_norm), 0.0)
+        log_score -= peak
+        gamma = np.exp(log_score, out=log_score)
+        norm = gamma.sum(axis=1, keepdims=True)
+        gamma /= norm
+        np.copyto(gamma, uniform, where=invalid)
 
-        # Defensive: a frame whose posterior mass vanished entirely is
-        # assigned to the noise class.
-        mass = gamma.sum(axis=1, keepdims=True)
-        dead = mass <= 0.0
-        if np.any(dead):
-            gamma = np.where(dead & (np.arange(classes) == 0)[None, :, None], 1.0, gamma)
-            gamma = np.where(dead & (np.arange(classes) != 0)[None, :, None], 0.0, gamma)
-        gamma = np.where(valid[:, None, :], gamma, uniform)
-
-        likelihoods[it] = np.sum(log_norm[:, 0, :], where=valid)
+        likelihoods[it] = np.sum(peak[:, 0, :] + np.log(norm[:, 0, :]), where=valid)
         if not np.isfinite(likelihoods[it]):
             raise RuntimeError(
                 f"mixture model EM produced a non-finite log-likelihood "
@@ -276,20 +357,6 @@ def _em_block(units, valid, active, gamma, config):
             )
 
     return weights, shapes, gamma, likelihoods
-
-
-def _quadratic_form(units: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Real quadratic form z^H B^-1 z.
-
-    Args:
-        units: (F, T, D).
-        inv: (F, K, D, D).
-
-    Returns:
-        (F, K, T) values, clipped away from zero.
-    """
-    quad = np.einsum("ftd,fkde,fte->fkt", units.conj(), inv, units, optimize=True).real
-    return np.clip(quad, 1e-12, None)
 
 
 def em_fit(
@@ -343,11 +410,11 @@ def em_fit(
     gamma = np.empty((bins, classes, frames))
     likelihoods = np.zeros(config.iterations)
 
-    block = max(1, 2 ** 21 // max(1, classes * frames * dim))
+    block = max(1, 2 ** 20 // max(1, classes * frames * dim))
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
         weights[lo:hi], shapes[lo:hi], gamma[lo:hi], block_ll = _em_block(
-            units[lo:hi], valid[lo:hi], activity.active, gamma0[lo:hi].copy(), config
+            units[lo:hi], valid[lo:hi], activity.active, gamma0[lo:hi], config
         )
         likelihoods += block_ll
 

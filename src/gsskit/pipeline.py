@@ -96,6 +96,10 @@ class PipelineConfig:
             raise ValueError(f"track must be 'single' or 'multi', got {self.track!r}")
         if self.masking not in ("auto", "on", "off"):
             raise ValueError(f"masking must be 'auto', 'on' or 'off', got {self.masking!r}")
+        if self.reference_mode not in ("linear", "db"):
+            raise ValueError(
+                f"reference_mode must be 'linear' or 'db', got {self.reference_mode!r}"
+            )
         if self.track == "single" and len(self.arrays) > 1:
             raise ValueError("the single-array track takes exactly one array")
         if self.context_seconds < 0:
@@ -300,8 +304,11 @@ def _load_session(entry: dict, config: PipelineConfig):
         raise ValueError(f"no annotations for session {session_id}")
 
     activity = build_activity(utterances, entry.get("length_seconds", audio.duration))
-    if "silences" in entry and entry["silences"]:
-        activity = refine_with_asr(activity, load_json(entry["silences"]))
+    silences = entry.get("silences")
+    if silences:
+        if not isinstance(silences, dict):
+            silences = load_json(silences)
+        activity = refine_with_asr(activity, silences)
     return audio, utterances, activity
 
 

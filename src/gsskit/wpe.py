@@ -66,13 +66,19 @@ class WpeDiagnostics:
 
 
 def _smooth_power(power: np.ndarray, context: int) -> np.ndarray:
-    """Moving average over (2*context + 1) frames along the last axis."""
+    """Moving average over (2*context + 1) frames along the last axis.
+
+    The input is edge-padded by ``context`` frames on each side, and every
+    window sum is a difference of two running totals; one leading zero
+    column makes the first total 0.
+    """
     if context == 0:
         return power
     width = 2 * context + 1
-    padded = np.pad(power, ((0, 0), (context, context)), mode="edge")
-    kernel = np.ones(width) / width
-    return np.apply_along_axis(lambda row: np.convolve(row, kernel, mode="valid"), 1, padded)
+    padded = np.pad(power, ((0, 0), (context + 1, context)), mode="edge")
+    padded[:, 0] = 0.0
+    totals = np.cumsum(padded, axis=1)
+    return (totals[:, width:] - totals[:, :-width]) / width
 
 
 def _stack_history(obs: np.ndarray, taps: int, delay: int) -> np.ndarray:
@@ -142,26 +148,31 @@ def wpe_dereverberate(
 
         floor = 1e-10 * np.mean(np.abs(obs) ** 2, axis=(1, 2))
         eye = np.eye(order)
+        weighted = np.empty_like(history)
         ridge = None
         for it in range(config.iterations):
             power = np.mean(np.abs(estimate) ** 2, axis=2)
             power = _smooth_power(power, config.psd_smoothing_context)
             lam = np.maximum(power, floor[:, None])[:, first:]
 
-            weighted = history / lam[:, :, None]
-            corr = weighted.transpose(0, 2, 1) @ history.conj()
+            # The power weights go on the conjugated factor, held in one
+            # buffer for all iterations.
+            np.conjugate(history, out=weighted)
+            weighted /= lam[:, :, None]
+            corr = history.transpose(0, 2, 1) @ weighted
             if ridge is None:
                 ridge = config.eps * np.trace(corr, axis1=1, axis2=2).real / order
-            cross = weighted.transpose(0, 2, 1) @ tail.conj()
+            cross = history.transpose(0, 2, 1) @ (tail.conj() / lam[:, :, None])
             filters = np.linalg.solve(corr + ridge[:, None, None] * eye, cross)
 
-            estimate[:, first:] = tail - np.einsum(
-                "fpm,ftp->ftm", filters.conj(), history
-            )
+            estimate[:, first:] = tail - history @ filters.conj()
             residual = np.sum(np.abs(estimate[:, first:]) ** 2, axis=2)
             objective[it] += np.sum(residual / lam + channels * np.log(lam))
             objective[it] += np.sum(ridge * np.sum(np.abs(filters) ** 2, axis=(1, 2)))
 
+        # Release this chunk's history tensors before the next chunk
+        # builds its own.
+        del history, weighted
         out_chunk = output[:, :, lo:hi]
         out_chunk[:, :, active] = estimate.transpose(2, 1, 0)
         output[:, :, lo:hi] = out_chunk

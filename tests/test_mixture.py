@@ -5,6 +5,7 @@ from gsskit import (
     ActivityMask,
     DirectionalObservations,
     EmConfig,
+    MixtureParams,
     Posterior,
     Spectrogram,
     StftConfig,
@@ -169,3 +170,152 @@ def test_trim_context():
         trim_context(post, range(5, 5))
     with pytest.raises(ValueError, match="core"):
         trim_context(post, range(15, 25))
+
+
+# Reference implementation: the einsum formulation of the EM steps that the
+# packed-feature kernel replaced. It runs every bin as one block.
+
+
+def reference_m_step(scaled, units):
+    """sum_t scaled[f, k, t] * z z^H, shape (F, K, D, D)."""
+    return np.einsum("fkt,ftd,fte->fkde", scaled, units, units.conj(), optimize=True)
+
+
+def reference_quadratic_form(units, inv):
+    """z^H B^-1 z, shape (F, K, T), clipped away from zero."""
+    quad = np.einsum("ftd,fkde,fte->fkt", units.conj(), inv, units, optimize=True).real
+    return np.clip(quad, 1e-12, None)
+
+
+def reference_prepare(shapes, eps_load):
+    dim = shapes.shape[-1]
+    trace = np.einsum("...dd->...", shapes).real
+    loaded = shapes + (eps_load * trace / dim)[..., None, None] * np.eye(dim)
+    inv = np.linalg.inv(loaded)
+    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2).conj())
+    return inv, np.linalg.slogdet(loaded)[1]
+
+
+def reference_em(observations, activity, config):
+    units = observations.units.transpose(1, 0, 2)
+    valid = observations.valid.T
+    active = activity.active
+    bins, frames, dim = units.shape
+    classes = active.shape[0]
+    gamma = init_posteriors(activity, bins).gamma.transpose(2, 0, 1)
+    eye = np.eye(dim, dtype=complex)
+    shapes = np.broadcast_to(eye, (bins, classes, dim, dim)).copy()
+    uniform = (active / active.sum(axis=0, keepdims=True))[None]
+    inv, logdet = reference_prepare(shapes, config.eps_load)
+    quad = reference_quadratic_form(units, inv)
+    likelihoods = np.zeros(config.iterations)
+    for it in range(config.iterations):
+        masked = gamma * valid[:, None, :]
+        denom = masked.sum(axis=-1)
+        numer = reference_m_step(masked / quad, units)
+        update = dim * numer / np.maximum(denom, 1e-300)[:, :, None, None]
+        shapes = np.where((denom > 0.0)[:, :, None, None], update, shapes)
+        shapes = 0.5 * (shapes + np.swapaxes(shapes, -1, -2).conj())
+        trace = np.einsum("...dd->...", shapes).real
+        shapes = np.where(
+            (trace > 1e-300)[:, :, None, None],
+            shapes * (dim / np.maximum(trace, 1e-300))[:, :, None, None],
+            eye,
+        )
+        total = denom.sum(axis=-1, keepdims=True)
+        weights = np.where(total > 0.0, denom / np.maximum(total, 1e-300), 1.0 / classes)
+        weights = np.maximum(weights, config.weight_floor)
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+
+        inv, logdet = reference_prepare(shapes, config.eps_load)
+        quad = reference_quadratic_form(units, inv)
+        log_score = np.log(weights)[:, :, None] - logdet[:, :, None] - dim * np.log(quad)
+        log_score = np.where(active[None], log_score, -np.inf)
+        peak = log_score.max(axis=1, keepdims=True)
+        log_norm = peak + np.log(np.sum(np.exp(log_score - peak), axis=1, keepdims=True))
+        gamma = np.where(active[None], np.exp(log_score - log_norm), 0.0)
+        gamma = np.where(valid[:, None, :], gamma, uniform)
+        likelihoods[it] = np.sum(log_norm[:, 0, :], where=valid)
+    params = MixtureParams(weights=weights, shapes=shapes)
+    return params, Posterior(gamma.transpose(1, 2, 0)), likelihoods
+
+
+def seeded_case(seed, frames, freqs, channels, classes):
+    """Random directions with zero-norm frames and partial class activity."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((frames, freqs, channels)) + 1j * rng.standard_normal(
+        (frames, freqs, channels)
+    )
+    data[3, 1] = 0.0
+    data[frames // 2, :] = 0.0
+    stft_config = StftConfig(fft_size=2 * (freqs - 1), shift=freqs - 1)
+    spec = Spectrogram(data.transpose(2, 0, 1), stft_config, 16000)
+    obs = normalize_observations(spec)
+    active = np.zeros((classes, frames), bool)
+    active[0] = True
+    for k in range(1, classes):
+        lo = rng.integers(0, frames // 2)
+        active[k, lo:lo + frames // 2] = True
+    return obs, ActivityMask(active)
+
+
+@pytest.mark.parametrize(
+    "channels, classes",
+    [(2, 3), (4, 4), (8, 3), (4, 1)],
+    ids=["D2", "D4", "D8", "K1"],
+)
+def test_em_fit_matches_einsum_reference(channels, classes):
+    obs, act = seeded_case(channels * 10 + classes, frames=70, freqs=6,
+                           channels=channels, classes=classes)
+    assert not obs.valid.all()
+    config = EmConfig(iterations=8)
+    params, post, lls = em_fit(obs, act, config, return_likelihoods=True)
+    ref_params, ref_post, ref_lls = reference_em(obs, act, config)
+    np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(params.shapes, ref_params.shapes, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(post.gamma, ref_post.gamma, rtol=1e-9, atol=1e-300)
+    np.testing.assert_allclose(lls, ref_lls, rtol=1e-9, atol=0)
+    # Inactive classes stay clamped to exactly zero.
+    inactive = ~act.active
+    assert np.all(post.gamma[inactive.nonzero()[0], inactive.nonzero()[1]] == 0.0)
+    assert np.all(np.diff(lls) >= -1e-9 * np.abs(lls[:-1])), lls
+
+
+def test_em_bins_fit_independently():
+    # em_fit splits the frequency axis into blocks; a fit over a subset of
+    # bins must reproduce those bins of the full fit, and the likelihood
+    # traces of the subsets must add up to the full trace.
+    obs, act = seeded_case(7, frames=40, freqs=9, channels=3, classes=3)
+    config = EmConfig(iterations=5)
+    _, whole, whole_lls = em_fit(obs, act, config, return_likelihoods=True)
+    total = np.zeros(config.iterations)
+    for lo, hi in ((0, 1), (1, 5), (5, 9)):
+        part = DirectionalObservations(obs.units[:, lo:hi], obs.valid[:, lo:hi])
+        _, post, lls = em_fit(part, act, config, return_likelihoods=True)
+        np.testing.assert_allclose(post.gamma, whole.gamma[:, :, lo:hi], rtol=1e-12, atol=1e-300)
+        total += lls
+    np.testing.assert_allclose(total, whole_lls, rtol=1e-12)
+
+
+def test_packed_features_reproduce_einsum_steps():
+    rng = np.random.default_rng(12)
+    from gsskit.mixture import (
+        _pack_outer_products,
+        _prepare_shapes,
+        _quadratic_form,
+        _unpack_hermitian,
+    )
+
+    for dim in (2, 3, 5):
+        data = rng.standard_normal((4, 30, dim)) + 1j * rng.standard_normal((4, 30, dim))
+        units = data / np.linalg.norm(data, axis=2, keepdims=True)
+        feats = _pack_outer_products(units)
+        assert feats.shape == (4, dim * dim, 30) and feats.flags.c_contiguous
+        scaled = rng.random((4, 2, 30))
+        numer = _unpack_hermitian(scaled @ feats.transpose(0, 2, 1), dim)
+        np.testing.assert_allclose(numer, reference_m_step(scaled, units), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(numer, np.swapaxes(numer, -1, -2).conj())
+
+        inv, _ = _prepare_shapes(numer + np.eye(dim), 1e-6)
+        quad = _quadratic_form(feats, inv, np.empty((4, 2, 30)))
+        np.testing.assert_allclose(quad, reference_quadratic_form(units, inv), rtol=1e-12)

@@ -81,6 +81,14 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(masking="sometimes")
 
 
+def test_config_rejects_unknown_reference_mode():
+    with pytest.raises(ValueError, match="reference_mode"):
+        PipelineConfig(reference_mode="bogus")
+    with pytest.raises(ValueError, match="reference_mode"):
+        PipelineConfig.from_dict({"reference_mode": "bogus"})
+    assert PipelineConfig(reference_mode="db").reference_mode == "db"
+
+
 def test_stack_arrays_combines_channels():
     a = Waveform(np.ones((2, 100)), SAMPLE_RATE)
     b = Waveform(np.zeros((1, 100)), SAMPLE_RATE)
@@ -213,6 +221,25 @@ def test_run_batch_records_failures(tmp_path):
     statuses = [row["status"] for row in report["utterances"]]
     assert statuses.count("ok") >= 2
     assert len(report["utterances"]) == 3
+
+
+def test_run_batch_accepts_inline_and_file_silences(tmp_path):
+    scene = small_scene()
+    manifest = write_session(tmp_path, scene)
+    entry = manifest["sessions"][0]
+    outputs = {}
+    silences = {"A": [[1.2, 1.4]]}
+    dump_json(silences, tmp_path / "silences.json")
+    # None, the README's inline form and a path to the same document.
+    for name, value in (("none", None), ("inline", silences),
+                        ("path", str(tmp_path / "silences.json"))):
+        if value is not None:
+            entry["silences"] = value
+        report = run_batch(manifest, fast_config(output_dir=str(tmp_path / name)))
+        assert report["failures"] == 0
+        outputs[name] = [open(row["path"], "rb").read() for row in report["utterances"]]
+    assert outputs["inline"] == outputs["path"]
+    assert outputs["inline"] != outputs["none"]
 
 
 def test_cli_simulate_enhance_metrics(tmp_path, capsys):

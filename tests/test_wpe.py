@@ -124,3 +124,19 @@ def test_smoothing_context_runs():
     out = wpe_dereverberate(spec, WpeConfig(taps=4, delay=2, psd_smoothing_context=2))
     assert out.bins.shape == obs.shape
     assert np.all(np.isfinite(out.bins))
+
+
+@pytest.mark.parametrize("context", [1, 3, 10])
+def test_smooth_power_matches_convolution(context):
+    from gsskit.wpe import _smooth_power
+
+    rng = np.random.default_rng(context)
+    power = rng.exponential(size=(7, 120)) * np.exp(rng.standard_normal((7, 1)))
+    width = 2 * context + 1
+    padded = np.pad(power, ((0, 0), (context, context)), mode="edge")
+    kernel = np.ones(width) / width
+    expected = np.stack([np.convolve(row, kernel, mode="valid") for row in padded])
+    smoothed = _smooth_power(power, context)
+    assert smoothed.shape == power.shape
+    np.testing.assert_allclose(smoothed, expected, rtol=1e-12, atol=0)
+    assert _smooth_power(power, 0) is power

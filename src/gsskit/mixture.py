@@ -166,12 +166,8 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     obs = spectrogram.bins.transpose(1, 2, 0)
     norm = np.linalg.norm(obs, axis=-1)
     valid = norm > 0.0
-    channels = obs.shape[-1]
-    units = np.where(
-        valid[..., None],
-        obs / np.where(valid, norm, 1.0)[..., None],
-        np.full(channels, 1.0 / np.sqrt(channels), dtype=np.complex128),
-    )
+    units = obs / np.where(valid, norm, 1.0)[..., None]
+    units[~valid] = 1.0 / np.sqrt(obs.shape[-1])
     return DirectionalObservations(units=units, valid=valid)
 
 
@@ -186,15 +182,17 @@ def _prepare_shapes(shapes: np.ndarray, eps_load: float):
     """Loaded inverse and log-determinant of a stack of shape matrices.
 
     Returns (inverse, logdet) for shapes + eps_load * (trace / D) * I, the
-    form used consistently for every density evaluation.
+    form used consistently for every density evaluation. The loaded matrix
+    is Hermitian positive definite, so its log-determinant is twice the
+    summed log of its Cholesky diagonal.
     """
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
     loaded = shapes + (eps_load * trace / dim)[..., None, None] * np.eye(dim)
     inv = np.linalg.inv(loaded)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2).conj())
-    _, logdet = np.linalg.slogdet(loaded)
-    return inv, logdet
+    chol_diag = np.diagonal(np.linalg.cholesky(loaded), axis1=-2, axis2=-1).real
+    return inv, 2.0 * np.log(chol_diag).sum(axis=-1)
 
 
 def _pack_outer_products(units: np.ndarray) -> np.ndarray:

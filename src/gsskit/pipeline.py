@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .activity import (
+    SAMPLE_RATE,
     SessionActivity,
     Utterance,
     activity_to_frames,
@@ -168,6 +169,16 @@ def stack_arrays(waveforms) -> Waveform:
     return Waveform(stacked, waveforms[0].sample_rate)
 
 
+def _require_annotation_rate(rate: int, source: str) -> None:
+    """Annotation offsets count 16 kHz samples; other rates would be
+    enhanced silently at the wrong times."""
+    if rate != SAMPLE_RATE:
+        raise ValueError(
+            f"{source} has sample rate {rate} Hz, but annotations assume "
+            f"{SAMPLE_RATE} Hz; resample it to {SAMPLE_RATE} Hz"
+        )
+
+
 def enhance_utterance(
     utterance: Utterance,
     audio: Waveform,
@@ -190,6 +201,7 @@ def enhance_utterance(
     """
     if audio.num_channels < 2:
         raise ValueError("enhancement needs a multi-channel recording")
+    _require_annotation_rate(audio.sample_rate, "audio")
     extended = extend_context(utterance, config.context_seconds, audio.num_samples)
     segment = Waveform(
         audio.samples[:, extended.context_start:extended.context_end],
@@ -289,7 +301,10 @@ def _load_session(entry: dict, config: PipelineConfig):
         raise ValueError(f"session {session_id} has no audio for arrays {missing}")
     if config.track == "single":
         ids = ids[:1]
-    audio = stack_arrays([read_wav(audio_map[i]) for i in ids])
+    waveforms = [read_wav(audio_map[i]) for i in ids]
+    for i, waveform in zip(ids, waveforms):
+        _require_annotation_rate(waveform.sample_rate, f"session {session_id}: {audio_map[i]}")
+    audio = stack_arrays(waveforms)
 
     doc = load_json(entry["annotations"])
     fmt = entry.get("annotation_format", "native")
@@ -318,7 +333,9 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     The manifest maps sessions to audio files (one multi-channel WAV per
     array) and an annotation document. Failures of individual utterances
     are recorded, not fatal. The report lists one entry per utterance in
-    manifest order; output audio is identical for any worker count.
+    manifest order; output audio is identical for any worker count. A
+    session that fails to load is recorded as one failed row carrying its
+    ``session_id`` and ``error``, and the batch goes on with the next one.
     """
     report = {
         "track": config.track,
@@ -327,8 +344,16 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
         "failures": 0,
     }
     for entry in manifest.get("sessions", []):
-        session_id = entry["session_id"]
-        audio, utterances, activity = _load_session(entry, config)
+        session_id = entry.get("session_id")
+        try:
+            audio, utterances, activity = _load_session(entry, config)
+        except Exception as err:  # noqa: BLE001 - report and continue
+            logger.exception("loading session %s failed", session_id)
+            report["utterances"].append(
+                {"session_id": session_id, "status": "failed", "error": str(err)}
+            )
+            report["failures"] += 1
+            continue
 
         def job(utterance):
             begin = time.perf_counter()

@@ -81,27 +81,6 @@ def _smooth_power(power: np.ndarray, context: int) -> np.ndarray:
     return (totals[:, width:] - totals[:, :-width]) / width
 
 
-def _stack_history(obs: np.ndarray, taps: int, delay: int) -> np.ndarray:
-    """Build the delayed multi-channel regression blocks.
-
-    Args:
-        obs: (F, T, M) observation.
-
-    Returns:
-        (F, T, M * taps) where entry t stacks frames t - delay, ...,
-        t - delay - taps + 1 over all channels. Frames reaching before the
-        segment start are zero.
-    """
-    bins, frames, channels = obs.shape
-    stacked = np.zeros((bins, frames, channels * taps), dtype=obs.dtype)
-    for k in range(taps):
-        lag = delay + k
-        if lag >= frames:
-            continue
-        stacked[:, lag:, k * channels:(k + 1) * channels] = obs[:, : frames - lag]
-    return stacked
-
-
 def wpe_dereverberate(
     spectrogram: Spectrogram,
     config: WpeConfig = WpeConfig(),
@@ -111,6 +90,16 @@ def wpe_dereverberate(
 
     Frames earlier than ``delay + taps`` have incomplete prediction history
     and are passed through unmodified. A zero observation stays zero.
+
+    Bins are processed in blocks. Each block holds one stacked tensor
+    (n, T - first, (taps + 1) * M), first = delay + taps: its first M
+    columns are the predicted frame itself, then come the history frames
+    t - delay, ..., t - delay - taps + 1, M channels each. Every iteration
+    scales it by 1 / sqrt(lambda) and takes a single real Gram of its
+    float64 view; that one product holds both the correlation of the
+    history columns and their cross-correlation with the frame. A block
+    has 2**18 // (T * (taps + 1) * M) bins (at least one), which keeps
+    the stacked tensor below 4 MB unless a single bin is larger.
 
     Args:
         spectrogram: (M, T, F) input.
@@ -130,52 +119,54 @@ def wpe_dereverberate(
 
     order = channels * config.taps
     first = config.delay + config.taps
+    width = order + channels
     output = spectrogram.bins.copy()
     objective = np.zeros(config.iterations)
+    eye = np.eye(order)
 
-    # Chunk the frequency axis so the stacked history tensor stays small.
-    chunk = max(1, 2 ** 22 // max(1, frames * order))
-    for lo in range(0, bins, chunk):
-        hi = min(bins, lo + chunk)
-        obs = np.ascontiguousarray(spectrogram.bins[:, :, lo:hi].transpose(2, 1, 0))
-        active = np.mean(np.abs(obs) ** 2, axis=(1, 2)) > 0.0
-        if not np.any(active):
+    block = max(1, 2 ** 18 // (frames * width))
+    stacked_buf = np.empty((block, frames - first, width), dtype=np.complex128)
+    scaled_buf = np.empty((block, frames - first, 2 * width))
+    for lo in range(0, bins, block):
+        obs = spectrogram.bins[:, :, lo:lo + block].transpose(2, 1, 0)
+        energy = np.mean(np.abs(obs) ** 2, axis=(1, 2))
+        active = np.flatnonzero(energy > 0.0)
+        if not active.size:
             continue
         obs = obs[active]
-        history = _stack_history(obs, config.taps, config.delay)[:, first:]
-        tail = obs[:, first:]
+        n = len(active)
+        # Lags delay + k <= first - 1, so every history frame of a
+        # predicted frame lies inside the segment.
+        stacked = stacked_buf[:n]
+        for k, lag in enumerate((0, *range(config.delay, first))):
+            stacked[:, :, k * channels:(k + 1) * channels] = obs[:, first - lag:frames - lag]
+        tail, history = stacked[:, :, :channels], stacked[:, :, channels:]
+        scaled = scaled_buf[:n]
         estimate = obs.copy()
 
-        floor = 1e-10 * np.mean(np.abs(obs) ** 2, axis=(1, 2))
-        eye = np.eye(order)
-        weighted = np.empty_like(history)
+        floor = 1e-10 * energy[active]
         ridge = None
         for it in range(config.iterations):
             power = np.mean(np.abs(estimate) ** 2, axis=2)
             power = _smooth_power(power, config.psd_smoothing_context)
             lam = np.maximum(power, floor[:, None])[:, first:]
 
-            # The power weights go on the conjugated factor, held in one
-            # buffer for all iterations.
-            np.conjugate(history, out=weighted)
-            weighted /= lam[:, :, None]
-            corr = history.transpose(0, 2, 1) @ weighted
+            # Complex Gram S^H S from the real Gram of the interleaved
+            # (re, im) view; numpy runs X^T X as a symmetric rank-k update.
+            np.multiply(stacked.view(np.float64), 1.0 / np.sqrt(lam)[:, :, None], out=scaled)
+            g = scaled.transpose(0, 2, 1) @ scaled
+            gram = (g[:, 0::2, 0::2] + g[:, 1::2, 1::2]) + 1j * (g[:, 0::2, 1::2] - g[:, 1::2, 0::2])
+            corr, cross = gram[:, channels:, channels:], gram[:, channels:, :channels]
             if ridge is None:
                 ridge = config.eps * np.trace(corr, axis1=1, axis2=2).real / order
-            cross = history.transpose(0, 2, 1) @ (tail.conj() / lam[:, :, None])
             filters = np.linalg.solve(corr + ridge[:, None, None] * eye, cross)
 
-            estimate[:, first:] = tail - history @ filters.conj()
+            estimate[:, first:] = tail - history @ filters
             residual = np.sum(np.abs(estimate[:, first:]) ** 2, axis=2)
             objective[it] += np.sum(residual / lam + channels * np.log(lam))
             objective[it] += np.sum(ridge * np.sum(np.abs(filters) ** 2, axis=(1, 2)))
 
-        # Release this chunk's history tensors before the next chunk
-        # builds its own.
-        del history, weighted
-        out_chunk = output[:, :, lo:hi]
-        out_chunk[:, :, active] = estimate.transpose(2, 1, 0)
-        output[:, :, lo:hi] = out_chunk
+        output[:, :, lo + active] = estimate.transpose(2, 1, 0)
 
     result = Spectrogram(output, spectrogram.config, spectrogram.sample_rate)
     if return_diagnostics:

@@ -78,6 +78,30 @@ def test_normalize_observations_unit_norm_and_zero_handling():
     np.testing.assert_allclose(obs.units[4, 7], np.full(3, 1 / np.sqrt(3)))
 
 
+def test_normalize_observations_matches_where_expression():
+    # The previous form built both branches in full through np.where; the
+    # in-place form must give the same bits, zero frames included.
+    config = StftConfig(fft_size=64, shift=16)
+    rng = np.random.default_rng(4)
+    for channels in (2, 4, 8):
+        bins = rng.standard_normal((channels, 30, 33)) + 1j * rng.standard_normal(
+            (channels, 30, 33)
+        )
+        bins[:, 5, :] = 0.0
+        bins[:, :, 9] = 0.0
+        obs = normalize_observations(Spectrogram(bins, config, 16000))
+        data = bins.transpose(1, 2, 0)
+        norm = np.linalg.norm(data, axis=-1)
+        valid = norm > 0.0
+        expected = np.where(
+            valid[..., None],
+            data / np.where(valid, norm, 1.0)[..., None],
+            np.full(channels, 1.0 / np.sqrt(channels), dtype=np.complex128),
+        )
+        np.testing.assert_array_equal(obs.valid, valid)
+        np.testing.assert_array_equal(obs.units, expected)
+
+
 def test_init_posteriors_uniform_over_active():
     active = np.array([[True, True, True], [True, False, True], [False, False, True]])
     post = init_posteriors(ActivityMask(active), num_bins=2)
@@ -319,3 +343,19 @@ def test_packed_features_reproduce_einsum_steps():
         inv, _ = _prepare_shapes(numer + np.eye(dim), 1e-6)
         quad = _quadratic_form(feats, inv, np.empty((4, 2, 30)))
         np.testing.assert_allclose(quad, reference_quadratic_form(units, inv), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_prepare_shapes_logdet_matches_slogdet(dim):
+    from gsskit.mixture import _prepare_shapes
+
+    rng = np.random.default_rng(dim)
+    data = rng.standard_normal((6, 3, dim, 40)) + 1j * rng.standard_normal((6, 3, dim, 40))
+    shapes = np.einsum("fkdt,fket->fkde", data, data.conj()) / 40
+    # A rank-one shape is positive definite only through the loading.
+    shapes[0, 0] = 0.0
+    shapes[0, 0, 0, 0] = 1.0
+    inv, logdet = _prepare_shapes(shapes, 1e-6)
+    ref_inv, ref_logdet = reference_prepare(shapes, 1e-6)
+    np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(inv, ref_inv)

@@ -341,3 +341,46 @@ def test_cli_analyze_overlap(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("bin_lo")
     assert len(lines) == 6
+
+
+def test_non_16k_audio_is_rejected(tmp_path):
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    audio = Waveform(scene.mixture.samples, 48000)
+    with pytest.raises(ValueError, match=r"48000 Hz.*16000 Hz"):
+        enhance_utterance(utterances[0], audio, activity, fast_config())
+
+    manifest = write_session(tmp_path, scene)
+    write_wav(manifest["sessions"][0]["audio"]["U01"], audio)
+    report = run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
+    assert report["failures"] == 1
+    (row,) = report["utterances"]
+    assert row["status"] == "failed"
+    assert "48000 Hz" in row["error"] and "16000 Hz" in row["error"]
+
+
+@pytest.mark.parametrize("fault", ["48k", "missing"])
+def test_run_batch_continues_after_failed_session(tmp_path, fault):
+    scene = small_scene()
+    good = write_session(tmp_path, scene)["sessions"][0]
+    bad = dict(good, session_id="BAD")
+    if fault == "48k":
+        bad["audio"] = {"U01": str(tmp_path / "fast.wav")}
+        write_wav(bad["audio"]["U01"], Waveform(scene.mixture.samples, 48000))
+    else:
+        bad["audio"] = {"U01": str(tmp_path / "absent.wav")}
+    dump_json({"sessions": [bad, good]}, tmp_path / "manifest.json")
+    out_dir = tmp_path / "out"
+    code = cli_main([
+        "enhance", "--manifest", str(tmp_path / "manifest.json"),
+        "--output-dir", str(out_dir), "--em-iters", "5",
+    ])
+    assert code == 1
+    report = json.load(open(out_dir / "report.json"))
+    assert report["failures"] == 1
+    first, *rest = report["utterances"]
+    assert first["session_id"] == "BAD" and first["status"] == "failed"
+    assert first["error"]
+    assert [row["status"] for row in rest] == ["ok", "ok"]
+    assert all(row["session_id"] == scene.session_id for row in rest)

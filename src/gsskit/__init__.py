@@ -22,7 +22,6 @@ from .activity import (
     parse_annotations,
     parse_chime5_annotations,
     refine_with_asr,
-    speaker_class_order,
 )
 from .beamforming import (
     BeamformerWeights,

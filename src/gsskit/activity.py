@@ -24,14 +24,15 @@ __all__ = [
     "ExtendedUtterance",
     "SessionActivity",
     "OverlapHistogram",
+    "OVERLAP_BIN_EDGES",
     "parse_time",
     "format_time",
+    "check_path_id",
     "parse_annotations",
     "parse_chime5_annotations",
     "build_activity",
     "extend_context",
     "refine_with_asr",
-    "speaker_class_order",
     "activity_to_frames",
     "overlap_fraction",
     "overlap_histogram",
@@ -90,6 +91,12 @@ def _lexical_tokens(transcript: str) -> tuple:
     )
 
 
+def check_path_id(kind: str, value) -> None:
+    """Reject ids that cannot name exactly one output path component."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise ValueError(f"{kind} {value!r} is not usable as a file name")
+
+
 @dataclass(frozen=True)
 class Utterance:
     """One annotated utterance with sample-accurate boundaries."""
@@ -101,6 +108,7 @@ class Utterance:
     words: tuple
 
     def __post_init__(self):
+        check_path_id("speaker id", self.speaker_id)
         if self.start_samples < 0:
             raise ValueError(f"utterance start {self.start_samples} is negative")
         if self.end_samples <= self.start_samples:
@@ -111,20 +119,44 @@ class Utterance:
         object.__setattr__(self, "words", tuple(self.words))
 
     @property
-    def start(self) -> float:
-        return self.start_samples / SAMPLE_RATE
-
-    @property
-    def end(self) -> float:
-        return self.end_samples / SAMPLE_RATE
-
-    @property
     def duration_samples(self) -> int:
         return self.end_samples - self.start_samples
 
     @property
     def word_count(self) -> int:
         return len(self.words)
+
+
+def _parse_rows(entries, speaker_key: str, pick_time, skip=lambda entry: False) -> list:
+    """Row loop of both annotation schemas; a rejected entry raises
+    ``ValueError`` naming its index. ``pick_time`` maps a raw timestamp
+    value to "H:MM:SS.ff" text and ``skip`` drops an entry unread."""
+    if not isinstance(entries, list):
+        raise ValueError("annotation document must be a JSON array")
+    utterances = []
+    for index, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError(f"expected an object, got {type(entry).__name__}")
+            if skip(entry):
+                continue
+            words = entry.get("words", "")
+            if not isinstance(words, str):
+                raise ValueError(f"words must be a string, got {type(words).__name__}")
+            utterances.append(
+                Utterance(
+                    session_id=entry["session_id"],
+                    speaker_id=entry[speaker_key],
+                    start_samples=parse_time(pick_time(entry["start_time"])),
+                    end_samples=parse_time(pick_time(entry["end_time"])),
+                    words=_lexical_tokens(words),
+                )
+            )
+        except KeyError as err:
+            raise ValueError(f"annotation entry {index} lacks key {err}") from None
+        except ValueError as err:
+            raise ValueError(f"annotation entry {index}: {err}") from None
+    return utterances
 
 
 def parse_annotations(entries) -> list:
@@ -137,27 +169,7 @@ def parse_annotations(entries) -> list:
     Returns:
         List of :class:`Utterance`, in document order.
     """
-    if not isinstance(entries, list):
-        raise ValueError("annotation document must be a JSON array")
-    utterances = []
-    for index, entry in enumerate(entries):
-        try:
-            start = parse_time(entry["start_time"])
-            end = parse_time(entry["end_time"])
-            utterances.append(
-                Utterance(
-                    session_id=entry["session_id"],
-                    speaker_id=entry["speaker_id"],
-                    start_samples=start,
-                    end_samples=end,
-                    words=_lexical_tokens(entry.get("words", "")),
-                )
-            )
-        except KeyError as err:
-            raise ValueError(f"annotation entry {index} lacks key {err}") from None
-        except ValueError as err:
-            raise ValueError(f"annotation entry {index}: {err}") from None
-    return utterances
+    return _parse_rows(entries, "speaker_id", lambda value: value)
 
 
 def parse_chime5_annotations(entries, array_id: str | None = None) -> list:
@@ -167,40 +179,16 @@ def parse_chime5_annotations(entries, array_id: str | None = None) -> list:
     device clock, falling back to the "original" (worn microphone) clock.
     Entries without a speaker (redacted regions) are skipped.
     """
-    if not isinstance(entries, list):
-        raise ValueError("annotation document must be a JSON array")
 
-    def pick(value, index):
-        if isinstance(value, dict):
-            if array_id is not None and array_id in value:
-                return value[array_id]
-            if "original" in value:
-                return value["original"]
-            raise ValueError(
-                f"annotation entry {index} has no timestamp for device "
-                f"{array_id!r} and no original clock"
-            )
-        return value
+    def pick(value):
+        if not isinstance(value, dict):
+            return value
+        for clock in (array_id, "original"):
+            if clock in value:
+                return value[clock]
+        raise ValueError(f"no timestamp for device {array_id!r} and no original clock")
 
-    utterances = []
-    for index, entry in enumerate(entries):
-        if "speaker" not in entry or entry["speaker"] is None:
-            continue
-        try:
-            utterances.append(
-                Utterance(
-                    session_id=entry["session_id"],
-                    speaker_id=entry["speaker"],
-                    start_samples=parse_time(pick(entry["start_time"], index)),
-                    end_samples=parse_time(pick(entry["end_time"], index)),
-                    words=_lexical_tokens(entry.get("words", "")),
-                )
-            )
-        except KeyError as err:
-            raise ValueError(f"annotation entry {index} lacks key {err}") from None
-        except ValueError as err:
-            raise ValueError(f"annotation entry {index}: {err}") from None
-    return utterances
+    return _parse_rows(entries, "speaker", pick, lambda entry: entry.get("speaker") is None)
 
 
 def merge_intervals(intervals) -> tuple:
@@ -250,10 +238,6 @@ def subtract_intervals(first, second) -> tuple:
     return tuple(out)
 
 
-def _total(intervals) -> int:
-    return sum(b - a for a, b in intervals)
-
-
 @dataclass(frozen=True)
 class SessionActivity:
     """Per-speaker activity intervals of one session, in samples."""
@@ -274,6 +258,15 @@ class SessionActivity:
     @property
     def speakers(self) -> tuple:
         return tuple(sorted(self.intervals))
+
+    def class_of(self, speaker: str) -> int:
+        """Mixture class of a speaker: class 0 is noise, class k is
+        ``speakers[k - 1]``."""
+        if speaker not in self.intervals:
+            raise ValueError(
+                f"target speaker {speaker} has no activity entry in session {self.session_id}"
+            )
+        return 1 + self.speakers.index(speaker)
 
 
 def build_activity(utterances, session_seconds: float | None = None) -> SessionActivity:
@@ -396,12 +389,6 @@ def extend_context(
     )
 
 
-def speaker_class_order(activity: SessionActivity) -> tuple:
-    """Speaker ids in mixture-class order; class k is speaker order[k - 1],
-    class 0 being noise."""
-    return activity.speakers
-
-
 def activity_to_frames(
     activity: SessionActivity, extended: ExtendedUtterance, config: StftConfig
 ) -> ActivityMask:
@@ -414,8 +401,7 @@ def activity_to_frames(
     the annotation union.
     """
     total = num_frames(extended.num_samples, config)
-    speakers = speaker_class_order(activity)
-    active = np.zeros((1 + len(speakers), total), dtype=bool)
+    active = np.zeros((1 + len(activity.intervals), total), dtype=bool)
     active[0] = True
 
     def mark(row, start, end):
@@ -426,41 +412,41 @@ def activity_to_frames(
             active[row, lo:hi] = True
 
     lo_abs, hi_abs = extended.context_start, extended.context_end
-    for row, speaker in enumerate(speakers, start=1):
-        for a, b in activity.intervals[speaker]:
+    for speaker, intervals in activity.intervals.items():
+        row = activity.class_of(speaker)
+        for a, b in intervals:
             a, b = max(a, lo_abs), min(b, hi_abs)
             if a < b:
                 mark(row, a - lo_abs, b - lo_abs)
 
-    target = extended.utterance.speaker_id
-    if target not in speakers:
-        raise ValueError(
-            f"target speaker {target} has no activity entry in session "
-            f"{activity.session_id}"
-        )
-    mark(1 + speakers.index(target), extended.core_start_local, extended.core_end_local)
+    target = activity.class_of(extended.utterance.speaker_id)
+    mark(target, extended.core_start_local, extended.core_end_local)
     return ActivityMask(active=active)
 
 
-def overlap_fraction(utterance: Utterance, activity: SessionActivity) -> float:
-    """Percentage of the utterance during which any other speaker is active."""
+def _overlap_samples(utterance: Utterance, activity: SessionActivity) -> int:
+    """Samples of the utterance during which any other speaker is active."""
     others = merge_intervals(
         span
         for speaker, intervals in activity.intervals.items()
         if speaker != utterance.speaker_id
         for span in intervals
     )
-    covered = _total(
-        intersect_intervals(
-            others, ((utterance.start_samples, utterance.end_samples),)
-        )
-    )
-    return 100.0 * covered / utterance.duration_samples
+    own = ((utterance.start_samples, utterance.end_samples),)
+    return sum(b - a for a, b in intersect_intervals(others, own))
+
+
+def overlap_fraction(utterance: Utterance, activity: SessionActivity) -> float:
+    """Percentage of the utterance during which any other speaker is active."""
+    return 100.0 * _overlap_samples(utterance, activity) / utterance.duration_samples
+
+
+OVERLAP_BIN_EDGES = (0, 20, 40, 60, 80, 100)
 
 
 @dataclass(frozen=True)
 class OverlapHistogram:
-    """Word counts and frequencies over five overlap bins of 20% width.
+    """Word counts and frequencies over the bins of :data:`OVERLAP_BIN_EDGES`.
 
     Bin i covers [20 * i, 20 * (i + 1)) percent; fully overlapped
     utterances (exactly 100%) land in the last bin.
@@ -469,13 +455,14 @@ class OverlapHistogram:
     word_counts: np.ndarray
     frequencies: np.ndarray
 
-    @property
-    def total_words(self) -> int:
-        return int(self.word_counts.sum())
-
-    @property
-    def edges(self) -> tuple:
-        return (0, 20, 40, 60, 80, 100)
+    @classmethod
+    def from_counts(cls, word_counts: np.ndarray) -> "OverlapHistogram":
+        """Normalise per-bin word counts; zero words warn and give zeros."""
+        total = word_counts.sum()
+        if total == 0:
+            logger.warning("overlap histogram over zero words, frequencies are zero")
+            return cls(word_counts, np.zeros(len(word_counts)))
+        return cls(word_counts, word_counts / total)
 
 
 def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram:
@@ -487,21 +474,6 @@ def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram
     """
     counts = np.zeros(5, dtype=np.int64)
     for u in utterances:
-        others = merge_intervals(
-            span
-            for speaker, intervals in activity.intervals.items()
-            if speaker != u.speaker_id
-            for span in intervals
-        )
-        covered = _total(
-            intersect_intervals(others, ((u.start_samples, u.end_samples),))
-        )
-        bin_index = min(covered * 5 // u.duration_samples, 4)
+        bin_index = min(_overlap_samples(u, activity) * 5 // u.duration_samples, 4)
         counts[bin_index] += u.word_count
-    total = counts.sum()
-    if total == 0:
-        logger.warning("overlap histogram over zero words, frequencies are zero")
-        frequencies = np.zeros(5)
-    else:
-        frequencies = counts / total
-    return OverlapHistogram(word_counts=counts, frequencies=frequencies)
+    return OverlapHistogram.from_counts(counts)

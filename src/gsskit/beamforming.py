@@ -50,10 +50,6 @@ class PsdSet:
     distortion_fallback: np.ndarray
 
     @property
-    def num_bins(self) -> int:
-        return self.target.shape[0]
-
-    @property
     def num_channels(self) -> int:
         return self.target.shape[-1]
 
@@ -135,6 +131,25 @@ def _loaded(psd: np.ndarray, eps: float) -> np.ndarray:
     return psd + scale[..., None, None] * np.eye(dim)
 
 
+def _souden_beamformers(psds: PsdSet, eps: float) -> np.ndarray:
+    """Beamformers of every candidate reference channel from one solve.
+
+    Returns (D, F, D); entry r holds the (F, D) weights of reference r,
+    column r of the trace-normalised ratio Phi_nn^-1 Phi_xx.
+    """
+    ratio = np.linalg.solve(_loaded(psds.distortion, eps), psds.target)
+    trace = np.einsum("fdd->f", ratio).real
+    degenerate = trace <= 1e-12
+    if np.any(degenerate):
+        logger.warning(
+            "degenerate target covariance in %d/%d bins, passing reference "
+            "channel through", int(degenerate.sum()), len(degenerate),
+        )
+    ratio = ratio / np.where(degenerate, 1.0, trace)[:, None, None]
+    weights = np.where(degenerate[:, None, None], np.eye(ratio.shape[-1]), ratio)
+    return np.ascontiguousarray(weights.transpose(2, 0, 1))
+
+
 def mvdr_souden(
     psds: PsdSet, reference: int, eps: float = 1e-6
 ) -> BeamformerWeights:
@@ -145,38 +160,27 @@ def mvdr_souden(
     Bins whose ratio trace is not meaningfully positive degenerate to the
     reference-channel selector (identity passthrough).
     """
-    bins, dim = psds.target.shape[0], psds.target.shape[-1]
+    dim = psds.num_channels
     if not 0 <= reference < dim:
         raise ValueError(f"reference channel {reference} out of range for {dim} channels")
-    ratio = np.linalg.solve(_loaded(psds.distortion, eps), psds.target)
-    trace = np.einsum("fdd->f", ratio).real
-    degenerate = trace <= 1e-12
-    if np.any(degenerate):
-        logger.warning(
-            "degenerate target covariance in %d/%d bins, passing reference "
-            "channel through", int(degenerate.sum()), bins,
-        )
-    weights = ratio[:, :, reference] / np.where(degenerate, 1.0, trace)[:, None]
-    selector = np.zeros(dim, dtype=np.complex128)
-    selector[reference] = 1.0
-    weights = np.where(degenerate[:, None], selector, weights)
-    return BeamformerWeights(weights=weights, reference=reference)
+    return BeamformerWeights(weights=_souden_beamformers(psds, eps)[reference], reference=reference)
 
 
 def select_reference(psds: PsdSet, mode: str = "linear", eps: float = 1e-6) -> int:
     """Choose the reference channel with the best expected output SNR.
 
-    For every candidate channel the beamformer is formed and scored by the
-    ratio of beamformed target to distortion power, averaged over
-    frequency (in the linear domain by default, in dB with
+    Every candidate's beamformer is a column of one covariance ratio; each
+    is scored by the ratio of beamformed target to distortion power,
+    averaged over frequency (in the linear domain by default, in dB with
     ``mode="db"``). Ties resolve to the lowest channel index.
     """
     if mode not in ("linear", "db"):
         raise ValueError(f"unknown reference selection mode {mode!r}")
     dim = psds.num_channels
+    beamformers = _souden_beamformers(psds, eps)
     scores = np.empty(dim)
     for channel in range(dim):
-        w = mvdr_souden(psds, channel, eps=eps).weights
+        w = beamformers[channel]
         num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
         den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
         snr = np.maximum(num, 0.0) / np.maximum(den, 1e-300)

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .activity import build_activity, overlap_histogram, parse_annotations, parse_chime5_annotations
+from .activity import (
+    OVERLAP_BIN_EDGES,
+    OverlapHistogram,
+    build_activity,
+    overlap_histogram,
+    parse_annotations,
+    parse_chime5_annotations,
+)
 from .io import dump_json, load_json, read_wav, write_wav
 from .metrics import SeparationMetrics, si_sdr
 from .pipeline import PipelineConfig, run_batch
@@ -49,22 +56,16 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-def _histogram_rows(hist, session=None):
-    rows = []
-    for i in range(5):
-        row = [str(hist.edges[i]), str(hist.edges[i + 1]), f"{hist.frequencies[i]:.6f}"]
-        if session is not None:
-            row.insert(0, session)
-        rows.append(",".join(row))
-    return rows
+def _histogram_rows(hist, prefix=""):
+    return [
+        f"{prefix}{lo},{hi},{frequency:.6f}"
+        for lo, hi, frequency in zip(OVERLAP_BIN_EDGES, OVERLAP_BIN_EDGES[1:], hist.frequencies)
+    ]
 
 
 def _cmd_analyze_overlap(args) -> int:
-    doc = load_json(args.annotations)
-    if args.format == "chime5":
-        utterances = parse_chime5_annotations(doc)
-    else:
-        utterances = parse_annotations(doc)
+    parse = parse_chime5_annotations if args.format == "chime5" else parse_annotations
+    utterances = parse(load_json(args.annotations))
     if not utterances:
         print("no utterances found", file=sys.stderr)
         return 1
@@ -73,23 +74,17 @@ def _cmd_analyze_overlap(args) -> int:
     for u in utterances:
         by_session.setdefault(u.session_id, []).append(u)
 
-    lines = []
+    histograms = {
+        session: overlap_histogram(utts, build_activity(utts))
+        for session, utts in sorted(by_session.items())
+    }
     if args.per_session:
-        lines.append("session_id,bin_lo,bin_hi,word_fraction")
-        for session in sorted(by_session):
-            utts = by_session[session]
-            hist = overlap_histogram(utts, build_activity(utts))
-            lines.extend(_histogram_rows(hist, session=session))
+        lines = ["session_id,bin_lo,bin_hi,word_fraction"]
+        for session, hist in histograms.items():
+            lines.extend(_histogram_rows(hist, prefix=f"{session},"))
     else:
-        lines.append("bin_lo,bin_hi,word_fraction")
-        counts = np.zeros(5, dtype=np.int64)
-        for session in sorted(by_session):
-            utts = by_session[session]
-            counts += overlap_histogram(utts, build_activity(utts)).word_counts
-        total = counts.sum()
-        frequencies = counts / total if total else np.zeros(5)
-        for i, (lo, hi) in enumerate(zip((0, 20, 40, 60, 80), (20, 40, 60, 80, 100))):
-            lines.append(f"{lo},{hi},{frequencies[i]:.6f}")
+        pooled = OverlapHistogram.from_counts(sum(h.word_counts for h in histograms.values()))
+        lines = ["bin_lo,bin_hi,word_fraction", *_histogram_rows(pooled)]
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -56,18 +56,6 @@ class DirectionalObservations:
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "valid", valid)
 
-    @property
-    def num_frames(self) -> int:
-        return self.units.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.units.shape[1]
-
-    @property
-    def num_channels(self) -> int:
-        return self.units.shape[2]
-
 
 @dataclass(frozen=True)
 class ActivityMask:
@@ -111,14 +99,6 @@ class Posterior:
 
     gamma: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.gamma.shape[1]
-
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -130,7 +110,6 @@ class EmConfig:
             before inversion.
         weight_floor: lower bound on mixture weights, renormalised after
             flooring.
-        context_frames: context width bookkeeping, not used by the fit.
         refine_iterations: extra iterations restricted to the core frames
             after context trimming; 0 disables the refinement stage.
     """
@@ -138,7 +117,6 @@ class EmConfig:
     iterations: int = 20
     eps_load: float = 1e-6
     weight_floor: float = 1e-4
-    context_frames: int = 0
     refine_iterations: int = 0
 
     def __post_init__(self):
@@ -148,8 +126,8 @@ class EmConfig:
             raise ValueError("eps_load must be positive")
         if not 0 < self.weight_floor < 1:
             raise ValueError(f"weight_floor must be in (0, 1), got {self.weight_floor}")
-        if self.context_frames < 0 or self.refine_iterations < 0:
-            raise ValueError("context_frames and refine_iterations must be non-negative")
+        if self.refine_iterations < 0:
+            raise ValueError("refine_iterations must be non-negative")
 
 
 def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:

@@ -22,12 +22,12 @@ from .activity import (
     Utterance,
     activity_to_frames,
     build_activity,
+    check_path_id,
     extend_context,
     format_time,
     parse_annotations,
     parse_chime5_annotations,
     refine_with_asr,
-    speaker_class_order,
 )
 from .beamforming import (
     apply_beamformer,
@@ -222,7 +222,7 @@ def enhance_utterance(
 
     observations = normalize_observations(spectrogram)
     mask = activity_to_frames(activity, extended, config.stft)
-    target_class = 1 + speaker_class_order(activity).index(utterance.speaker_id)
+    target_class = activity.class_of(utterance.speaker_id)
 
     params, posterior, likelihoods = em_fit(
         observations, mask, config.em, return_likelihoods=True
@@ -294,6 +294,7 @@ def enhance_utterance(
 def _load_session(entry: dict, config: PipelineConfig):
     """Audio, utterances and activity for one manifest entry."""
     session_id = entry["session_id"]
+    check_path_id("session id", session_id)
     audio_map = entry["audio"]
     ids = list(config.arrays) if config.arrays else sorted(audio_map)
     missing = [i for i in ids if i not in audio_map]

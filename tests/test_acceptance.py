@@ -48,7 +48,6 @@ from gsskit import (
     select_reference,
     si_sdr,
     simulate_scene,
-    speaker_class_order,
     stft,
     trim_context,
     wpe_dereverberate,
@@ -221,8 +220,7 @@ def test_separation_is_permutation_consistent():
     consistency = permutation_consistency(posterior, oracle)
     assert consistency >= 0.95, f"permutation consistency {consistency:.4f}"
 
-    order = speaker_class_order(activity)
-    overlap = mask.active[1 + order.index("A")] & mask.active[1 + order.index("B")]
+    overlap = mask.active[activity.class_of("A")] & mask.active[activity.class_of("B")]
     assert overlap.any()
     error = np.abs(posterior.gamma[:, overlap] - oracle[:, overlap]).mean()
     assert error < 0.15, f"overlap mask agreement error {error:.4f}"

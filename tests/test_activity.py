@@ -17,7 +17,6 @@ from gsskit import (
     parse_annotations,
     parse_chime5_annotations,
     refine_with_asr,
-    speaker_class_order,
 )
 from gsskit.activity import (
     format_time,
@@ -184,6 +183,48 @@ def test_parse_chime5_annotations_device_clocks():
     assert fallback[0].speaker_id == "P01"
 
 
+def _row(speaker_key, **extra):
+    return {
+        "session_id": "S1",
+        speaker_key: "A",
+        "start_time": "0:00:00.00",
+        "end_time": "0:00:01.00",
+        **extra,
+    }
+
+
+@pytest.mark.parametrize(
+    "parse, speaker_key",
+    [(parse_annotations, "speaker_id"), (parse_chime5_annotations, "speaker")],
+)
+def test_parsers_reject_malformed_rows(parse, speaker_key):
+    good = _row(speaker_key)
+    assert len(parse([good])) == 1
+    for bad in (1, "speaker", ["speaker"], None):
+        with pytest.raises(ValueError, match=r"^annotation entry 1: expected an object"):
+            parse([good, bad])
+    for words in (["a", "b"], 3, None):
+        with pytest.raises(ValueError, match=r"^annotation entry 0: words must be a string"):
+            parse([_row(speaker_key, words=words)])
+    with pytest.raises(ValueError, match=r"^annotation entry 0: speaker id '\.\./x'"):
+        parse([dict(good, **{speaker_key: "../x"})])
+    with pytest.raises(ValueError, match=r"^annotation entry 0: malformed timestamp"):
+        parse([dict(good, start_time=5)])
+
+
+def test_parse_chime5_names_the_missing_clock():
+    row = _row("speaker", start_time={"U01": "0:00:00.00"})
+    assert parse_chime5_annotations([row], array_id="U01")[0].start_samples == 0
+    with pytest.raises(ValueError, match=r"^annotation entry 0: no timestamp for device 'U02'"):
+        parse_chime5_annotations([row], array_id="U02")
+
+
+@pytest.mark.parametrize("speaker", ["", ".", "..", "a/b", "a\\b", "../../evil", 7, None])
+def test_utterance_rejects_ids_that_are_not_one_path_component(speaker):
+    with pytest.raises(ValueError, match="not usable as a file name"):
+        Utterance("S1", speaker, 0, 16000, ())
+
+
 def test_build_activity_merges_and_sizes():
     utts = [
         Utterance("S1", "A", 0, 16000, ()),
@@ -195,7 +236,8 @@ def test_build_activity_merges_and_sizes():
     assert activity.session_samples == 64000
     assert activity.intervals["A"] == ((0, 24000),)
     assert activity.intervals["B"] == ((32000, 48000),)
-    assert speaker_class_order(activity) == ("A", "B")
+    assert activity.speakers == ("A", "B")
+    assert (activity.class_of("A"), activity.class_of("B")) == (1, 2)
 
 
 def test_build_activity_errors():
@@ -280,7 +322,7 @@ def test_activity_to_frames_matches_span_oracle():
     target = utts[1]
     ext = extend_context(target, 0.02, activity.session_samples)
     mask = activity_to_frames(activity, ext, config)
-    order = speaker_class_order(activity)
+    order = activity.speakers
     total = num_frames(ext.num_samples, config)
     assert mask.active.shape == (1 + len(order), total)
     assert mask.active[0].all()
@@ -309,6 +351,8 @@ def test_activity_to_frames_needs_target_speaker():
     ghost = extend_context(Utterance("S1", "Z", 0, 800, ()), 0.0, 1600)
     with pytest.raises(ValueError, match="Z"):
         activity_to_frames(activity, ghost, config)
+    with pytest.raises(ValueError, match="speaker Z has no activity entry in session S1"):
+        activity.class_of("Z")
 
 
 def overlap_fraction_oracle(utterance, activity):

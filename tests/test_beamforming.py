@@ -179,6 +179,25 @@ def test_mvdr_degenerate_target_returns_selector(caplog):
     np.testing.assert_array_equal(w.weights[0], np.eye(dim)[2])
 
 
+def test_select_reference_solves_once_and_warns_once(caplog, monkeypatch):
+    rng = np.random.default_rng(8)
+    dim = 4
+    psds = random_psd_set(rng, freqs=3, dim=dim)
+    psds.target[1] = 0.0  # one degenerate bin
+    solves = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda *args: solves.append(args) or real_solve(*args)
+    )
+    with caplog.at_level(logging.WARNING):
+        reference = select_reference(psds)
+    assert 0 <= reference < dim
+    assert len(solves) == 1
+    warnings = [r for r in caplog.records if "degenerate target covariance" in r.message]
+    assert len(warnings) == 1
+    assert "1/3 bins" in warnings[0].message
+
+
 def test_mvdr_rejects_bad_reference():
     rng = np.random.default_rng(5)
     psds = random_psd_set(rng, 2, 3)

@@ -62,7 +62,7 @@ def test_em_config_validation():
     with pytest.raises(ValueError):
         EmConfig(eps_load=0.0)
     with pytest.raises(ValueError):
-        EmConfig(context_frames=-1)
+        EmConfig(refine_iterations=-1)
 
 
 def test_normalize_observations_unit_norm_and_zero_handling():

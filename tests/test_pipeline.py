@@ -1,10 +1,13 @@
 import json
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gsskit import (
     SAMPLE_RATE,
+    EmConfig,
     PipelineConfig,
     Utterance,
     Waveform,
@@ -153,6 +156,67 @@ def test_enhance_utterance_needs_multichannel():
     mono = Waveform(scene.mixture.samples[:1], SAMPLE_RATE)
     with pytest.raises(ValueError, match="multi-channel"):
         enhance_utterance(utterances[0], mono, activity, fast_config())
+
+
+def test_enhance_utterance_refine_stage():
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    em = EmConfig(iterations=6, refine_iterations=3)
+    for target in utterances:
+        out, details = enhance_utterance(
+            target, scene.mixture, activity, fast_config(em=em), return_details=True
+        )
+        assert out.samples.shape == (1, target.duration_samples)
+        assert np.all(np.isfinite(out.samples))
+        assert details.log_likelihoods.shape == (9,)
+        assert np.all(np.isfinite(details.log_likelihoods))
+        assert details.posterior_core.gamma.shape[1] == len(details.core_frames)
+
+
+def _assert_close_to_peak(actual, expected, tol=1e-8):
+    peak = np.abs(expected).max()
+    assert peak > 0
+    assert np.abs(actual - expected).max() <= tol * peak
+
+
+def test_enhance_utterance_invariant_to_speaker_renaming():
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    # "Z" sorts after "B", so the mixture classes of the two speakers swap.
+    renamed = [replace(u, speaker_id="Z") if u.speaker_id == "A" else u for u in utterances]
+    renamed_activity = build_activity(renamed, scene.mixture.duration)
+    assert activity.speakers == ("A", "B") and renamed_activity.speakers == ("B", "Z")
+    config = fast_config(wpe_enabled=False)
+    for original, alias in zip(utterances, renamed):
+        out, details = enhance_utterance(
+            original, scene.mixture, activity, config, return_details=True
+        )
+        out_r, details_r = enhance_utterance(
+            alias, scene.mixture, renamed_activity, config, return_details=True
+        )
+        assert details.target_class != details_r.target_class
+        assert details.reference_channel == details_r.reference_channel
+        _assert_close_to_peak(out_r.samples, out.samples)
+
+
+def test_enhance_utterance_invariant_to_channel_permutation():
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    perm = [2, 0, 3, 1]  # channel j of the permuted array is channel perm[j]
+    permuted = Waveform(scene.mixture.samples[perm], scene.mixture.sample_rate)
+    config = fast_config(wpe_enabled=False)
+    for target in utterances:
+        out, details = enhance_utterance(
+            target, scene.mixture, activity, config, return_details=True
+        )
+        out_p, details_p = enhance_utterance(
+            target, permuted, activity, config, return_details=True
+        )
+        assert perm[details_p.reference_channel] == details.reference_channel
+        _assert_close_to_peak(out_p.samples, out.samples)
 
 
 def write_session(tmp_path, scene):
@@ -341,6 +405,123 @@ def test_cli_analyze_overlap(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("bin_lo")
     assert len(lines) == 6
+
+
+def _native(session, speaker, start, end, words):
+    return {
+        "session_id": session,
+        "speaker_id": speaker,
+        "start_time": start,
+        "end_time": end,
+        "words": words,
+    }
+
+
+OVERLAP_DOC = [
+    # S1: A at 50 % (3 words), B at 75 % (2), A again at 33 % (1).
+    _native("S1", "A", "0:00:00.00", "0:00:02.00", "one two three"),
+    _native("S1", "B", "0:00:01.00", "0:00:03.00", "four five"),
+    _native("S1", "A", "0:00:02.50", "0:00:04.00", "six"),
+    # S2: C at exactly 60 % (4 words), D fully overlapped (2 lexical
+    # words, the markup tag does not count), E alone (1).
+    _native("S2", "C", "0:00:00.00", "0:00:01.00", "a b c d"),
+    _native("S2", "D", "0:00:00.20", "0:00:00.80", "e [noise] f"),
+    _native("S2", "E", "0:00:02.00", "0:00:03.00", "g"),
+    # S3 has no lexical words at all.
+    _native("S3", "F", "0:00:00.00", "0:00:01.00", ""),
+    _native("S3", "G", "0:00:00.50", "0:00:01.50", "[laughter]"),
+]
+
+
+def _analyze_overlap(tmp_path, doc, *flags):
+    ann_path = tmp_path / "ann.json"
+    dump_json(doc, ann_path)
+    csv_path = tmp_path / "hist.csv"
+    code = cli_main(
+        ["analyze-overlap", "--annotations", str(ann_path), "--out", str(csv_path), *flags]
+    )
+    assert code == 0
+    return csv_path.read_text()
+
+
+def test_cli_analyze_overlap_golden_csv(tmp_path):
+    assert _analyze_overlap(tmp_path, OVERLAP_DOC) == (
+        "bin_lo,bin_hi,word_fraction\n"
+        "0,20,0.076923\n"
+        "20,40,0.076923\n"
+        "40,60,0.230769\n"
+        "60,80,0.461538\n"
+        "80,100,0.153846\n"
+    )
+    assert _analyze_overlap(tmp_path, OVERLAP_DOC, "--per-session") == (
+        "session_id,bin_lo,bin_hi,word_fraction\n"
+        "S1,0,20,0.000000\n"
+        "S1,20,40,0.166667\n"
+        "S1,40,60,0.500000\n"
+        "S1,60,80,0.333333\n"
+        "S1,80,100,0.000000\n"
+        "S2,0,20,0.142857\n"
+        "S2,20,40,0.000000\n"
+        "S2,40,60,0.000000\n"
+        "S2,60,80,0.571429\n"
+        "S2,80,100,0.285714\n"
+        "S3,0,20,0.000000\n"
+        "S3,20,40,0.000000\n"
+        "S3,40,60,0.000000\n"
+        "S3,60,80,0.000000\n"
+        "S3,80,100,0.000000\n"
+    )
+    zero_words = [row for row in OVERLAP_DOC if row["session_id"] == "S3"]
+    assert _analyze_overlap(tmp_path, zero_words) == (
+        "bin_lo,bin_hi,word_fraction\n"
+        "0,20,0.000000\n"
+        "20,40,0.000000\n"
+        "40,60,0.000000\n"
+        "60,80,0.000000\n"
+        "80,100,0.000000\n"
+    )
+
+
+def test_run_batch_rejects_ids_that_escape_the_output_dir(tmp_path):
+    scene = small_scene()
+    good = write_session(tmp_path, scene)["sessions"][0]
+    sessions = []
+    for i, session_id in enumerate(["..", "", "a/b", "a\\b", "."]):
+        doc = [dict(row, session_id=session_id) for row in scene.annotations]
+        path = tmp_path / f"bad_session{i}.json"
+        dump_json(doc, path)
+        sessions.append(dict(good, session_id=session_id, annotations=str(path)))
+    doc = [dict(row, speaker_id="../../evil") if row["speaker_id"] == "A" else row
+           for row in scene.annotations]
+    dump_json(doc, tmp_path / "bad_speaker.json")
+    sessions.append(dict(good, annotations=str(tmp_path / "bad_speaker.json")))
+    sessions.append(good)
+
+    out_dir = tmp_path / "deep" / "out"
+    report = run_batch({"sessions": sessions}, fast_config(output_dir=str(out_dir)))
+    assert report["failures"] == 6
+    *failed, ok_a, ok_b = report["utterances"]
+    bad_ids = ["..", "", "a/b", "a\\b", ".", scene.session_id]
+    assert [row["session_id"] for row in failed] == bad_ids
+    for row in failed:
+        assert row["status"] == "failed"
+        assert "is not usable as a file name" in row["error"]
+    assert ok_a["status"] == ok_b["status"] == "ok"
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.wav"))
+    assert written == [
+        "U01.wav",
+        f"deep/out/{scene.session_id}/A-300_1600.wav",
+        f"deep/out/{scene.session_id}/B-1200_2700.wav",
+    ]
+
+
+def test_cli_analyze_overlap_pooled_zero_words_warns(tmp_path, caplog):
+    zero_words = [row for row in OVERLAP_DOC if row["session_id"] == "S3"]
+    with caplog.at_level(logging.WARNING):
+        _analyze_overlap(tmp_path, zero_words)
+    warnings = [r for r in caplog.records if "over zero words" in r.message]
+    # One for session S3 and one for the pooled histogram.
+    assert len(warnings) == 2
 
 
 def test_non_16k_audio_is_rejected(tmp_path):

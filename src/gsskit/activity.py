@@ -36,6 +36,7 @@ __all__ = [
     "activity_to_frames",
     "overlap_fraction",
     "overlap_histogram",
+    "overlap_word_counts",
     "merge_intervals",
     "intersect_intervals",
     "subtract_intervals",
@@ -465,8 +466,8 @@ class OverlapHistogram:
         return cls(word_counts, word_counts / total)
 
 
-def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram:
-    """Word-weighted distribution of utterance overlap.
+def overlap_word_counts(utterances, activity: SessionActivity) -> np.ndarray:
+    """Lexical words per overlap bin (``OVERLAP_BIN_EDGES``), as int64.
 
     Every utterance contributes its lexical word count to the bin of its
     overlap percentage. Bin placement uses integer sample arithmetic, so
@@ -476,4 +477,9 @@ def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram
     for u in utterances:
         bin_index = min(_overlap_samples(u, activity) * 5 // u.duration_samples, 4)
         counts[bin_index] += u.word_count
-    return OverlapHistogram.from_counts(counts)
+    return counts
+
+
+def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram:
+    """Word-weighted distribution of utterance overlap (see ``overlap_word_counts``)."""
+    return OverlapHistogram.from_counts(overlap_word_counts(utterances, activity))

@@ -13,7 +13,7 @@ from .activity import (
     OVERLAP_BIN_EDGES,
     OverlapHistogram,
     build_activity,
-    overlap_histogram,
+    overlap_word_counts,
     parse_annotations,
     parse_chime5_annotations,
 )
@@ -74,16 +74,17 @@ def _cmd_analyze_overlap(args) -> int:
     for u in utterances:
         by_session.setdefault(u.session_id, []).append(u)
 
-    histograms = {
-        session: overlap_histogram(utts, build_activity(utts))
+    counts = {
+        session: overlap_word_counts(utts, build_activity(utts))
         for session, utts in sorted(by_session.items())
     }
     if args.per_session:
         lines = ["session_id,bin_lo,bin_hi,word_fraction"]
-        for session, hist in histograms.items():
+        for session, words in counts.items():
+            hist = OverlapHistogram.from_counts(words)
             lines.extend(_histogram_rows(hist, prefix=f"{session},"))
     else:
-        pooled = OverlapHistogram.from_counts(sum(h.word_counts for h in histograms.values()))
+        pooled = OverlapHistogram.from_counts(sum(counts.values()))
         lines = ["bin_lo,bin_hi,word_fraction", *_histogram_rows(pooled)]
 
     text = "\n".join(lines) + "\n"

@@ -2,10 +2,12 @@
 
 import json
 import logging
+import os
+import struct
+import wave
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .activity import SAMPLE_RATE, Utterance
 from .signal import Waveform
@@ -15,9 +17,105 @@ logger = logging.getLogger(__name__)
 __all__ = ["read_wav", "write_wav", "load_json", "dump_json", "utterance_filename"]
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_FORMAT_NAMES = {_PCM: "PCM", _IEEE_FLOAT: "IEEE float", 0x0006: "A-law", 0x0007: "mu-law",
+                 _EXTENSIBLE: "WAVE_FORMAT_EXTENSIBLE with an unknown sub-format"}
+# An extensible sub-format GUID is {tag-0000-0010-8000-00AA00389B71}; its
+# first four bytes hold the plain format tag.
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample) -> sample dtype, as scipy.io.wavfile reads
+# it: 8-bit PCM is unsigned, 24-bit PCM is left-justified into int32.
+_SAMPLE_DTYPES = {
+    (_PCM, 8): np.dtype("u1"),
+    (_PCM, 16): np.dtype("<i2"),
+    (_PCM, 24): np.dtype("<i4"),
+    (_PCM, 32): np.dtype("<i4"),
+    (_IEEE_FLOAT, 32): np.dtype("<f4"),
+    (_IEEE_FLOAT, 64): np.dtype("<f8"),
+}
+_STREAMED = 0xFFFFFFFF  # data size of a file written before its length was known
+
+
+def _parse_fmt(path, body: bytes):
+    """(sample rate, channels, bytes per sample, dtype) of a 'fmt ' chunk."""
+    if len(body) < 16:
+        raise ValueError(f"{path}: 'fmt ' chunk of {len(body)} bytes is too short")
+    tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", body[:16])
+    if tag == _EXTENSIBLE and len(body) >= 40 and body[28:40] == _SUBFORMAT_TAIL:
+        tag = struct.unpack("<I", body[24:28])[0]
+    dtype = _SAMPLE_DTYPES.get((tag, bits))
+    if dtype is None:
+        name = _FORMAT_NAMES.get(tag, f"format tag 0x{tag:04x}")
+        raise ValueError(
+            f"{path}: unsupported WAV encoding, {name} at {bits} bits per sample; "
+            "read_wav accepts PCM 8/16/24/32-bit and IEEE float 32/64-bit"
+        )
+    width = bits // 8
+    if channels == 0 or block_align != channels * width:
+        raise ValueError(
+            f"{path}: block align {block_align} does not fit {channels} channels "
+            f"of {bits}-bit samples"
+        )
+    return rate, channels, width, dtype
+
+
+def _read_riff(path):
+    """Sample rate and (frames, channels) samples of a RIFF/WAVE file.
+
+    The samples keep the dtype and values that scipy.io.wavfile.read
+    gives. Chunks other than 'fmt ' and 'data' are skipped, with the pad
+    byte after an odd size. A data chunk cut short by the end of the file
+    yields its whole frames and a warning; a streamed size (0xFFFFFFFF)
+    reads to the end without one.
+    """
+    with open(path, "rb") as handle:
+        riff = handle.read(12)
+        if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+            raise ValueError(
+                f"{path}: not a RIFF/WAVE file (starts with {riff[:4]!r}); "
+                "read_wav does not read RIFX or RF64"
+            )
+        fmt = None
+        while True:
+            header = handle.read(8)
+            if len(header) < 8:
+                raise ValueError(f"{path}: no 'data' chunk")
+            chunk_id, size = header[:4], struct.unpack("<I", header[4:])[0]
+            if chunk_id == b"data":
+                break
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(path, handle.read(size))
+            else:
+                handle.seek(size, os.SEEK_CUR)
+            handle.seek(size & 1, os.SEEK_CUR)
+        if fmt is None:
+            raise ValueError(f"{path}: no 'fmt ' chunk before the 'data' chunk")
+        rate, channels, width, dtype = fmt
+        available = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size == _STREAMED:
+            size = available
+        elif size > available:
+            logger.warning(
+                "%s: data chunk holds %d of its %d bytes, reading the whole frames",
+                path, available, size,
+            )
+            size = available
+        frames = size // (channels * width)
+        raw = np.fromfile(handle, dtype=np.uint8, count=frames * channels * width)
+    if width == 3:
+        wide = np.zeros((frames * channels, 4), dtype=np.uint8)
+        wide[:, 1:] = raw.reshape(-1, 3)
+        raw = wide
+    return rate, raw.view(dtype).reshape(frames, channels)
+
+
 def read_wav(path) -> Waveform:
-    """Load a WAV file as float64 in [-1, 1], channels first."""
-    rate, data = wavfile.read(path)
+    """Load a WAV file as float64 in [-1, 1], channels first.
+
+    Reads PCM 8/16/24/32-bit and IEEE float 32/64-bit, plain or
+    WAVE_FORMAT_EXTENSIBLE; any other encoding raises ValueError.
+    """
+    rate, data = _read_riff(path)
     if data.dtype == np.int16:
         data = data / 32768.0
     elif data.dtype == np.int32:
@@ -26,11 +124,7 @@ def read_wav(path) -> Waveform:
         data = (data.astype(np.float64) - 128.0) / 128.0
     else:
         data = data.astype(np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
-    else:
-        data = data.T
-    return Waveform(data, rate)
+    return Waveform(data.T, rate)
 
 
 def write_wav(path, waveform: Waveform) -> None:
@@ -44,7 +138,11 @@ def write_wav(path, waveform: Waveform) -> None:
         samples = samples * (0.95 / peak)
     pcm = np.round(samples * 32767.0).astype(np.int16)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(path, waveform.sample_rate, pcm.T if pcm.shape[0] > 1 else pcm[0])
+    with wave.open(str(path), "wb") as out:
+        out.setnchannels(pcm.shape[0])
+        out.setsampwidth(2)
+        out.setframerate(waveform.sample_rate)
+        out.writeframes(pcm.T.tobytes())
 
 
 def load_json(path):

@@ -2,12 +2,15 @@
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .mixture import Posterior
 from .signal import StftConfig, Waveform, stft
-from .simulate import SyntheticScene
+
+if TYPE_CHECKING:
+    from .simulate import SyntheticScene
 
 __all__ = [
     "SeparationMetrics",
@@ -73,7 +76,7 @@ def si_sdr(estimate, reference) -> float:
     return float(np.clip(10.0 * np.log10(target_power / distortion_power), -100.0, 100.0))
 
 
-def oracle_masks(scene: SyntheticScene, config: StftConfig) -> np.ndarray:
+def oracle_masks(scene: "SyntheticScene", config: StftConfig) -> np.ndarray:
     """One-hot dominance masks from the true source images.
 
     Per (frame, bin) the strongest component on the first microphone wins.

@@ -291,6 +291,20 @@ def enhance_utterance(
     return out, details
 
 
+def _check_entry(index: int, entry) -> None:
+    """Reject a manifest entry that lacks a key the loader needs."""
+    where = f"manifest entry {index}"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+    if not isinstance(entry.get("session_id"), str):
+        raise ValueError(f"{where}: 'session_id' must be a string")
+    audio_map = entry.get("audio")
+    if not isinstance(audio_map, dict) or not audio_map:
+        raise ValueError(f"{where}: 'audio' must be a non-empty object of array id -> WAV path")
+    if "annotations" not in entry:
+        raise ValueError(f"{where}: 'annotations' is missing")
+
+
 def _load_session(entry: dict, config: PipelineConfig):
     """Audio, utterances and activity for one manifest entry."""
     session_id = entry["session_id"]
@@ -335,8 +349,10 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     array) and an annotation document. Failures of individual utterances
     are recorded, not fatal. The report lists one entry per utterance in
     manifest order; output audio is identical for any worker count. A
-    session that fails to load is recorded as one failed row carrying its
-    ``session_id`` and ``error``, and the batch goes on with the next one.
+    session that fails to load, including an entry that is not an object
+    or lacks ``session_id``, ``audio`` or ``annotations``, is recorded as
+    one failed row carrying its ``session_id`` (None when there is none)
+    and ``error``, and the batch goes on with the next one.
     """
     report = {
         "track": config.track,
@@ -344,9 +360,10 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
         "utterances": [],
         "failures": 0,
     }
-    for entry in manifest.get("sessions", []):
-        session_id = entry.get("session_id")
+    for index, entry in enumerate(manifest.get("sessions", [])):
+        session_id = entry.get("session_id") if isinstance(entry, dict) else None
         try:
+            _check_entry(index, entry)
             audio, utterances, activity = _load_session(entry, config)
         except Exception as err:  # noqa: BLE001 - report and continue
             logger.exception("loading session %s failed", session_id)

@@ -9,7 +9,6 @@ round trip through the annotation parser without loss.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import chirp as _chirp
 
 from .activity import SAMPLE_RATE, format_time
 from .signal import Waveform
@@ -58,15 +57,26 @@ def _bandpass(noise: np.ndarray, band, rng) -> np.ndarray:
     return np.fft.irfft(spectrum * gain, n=len(noise))
 
 
+def _linear_chirp(t: np.ndarray, f0: float, t1: float, f1: float, phi_deg: float) -> np.ndarray:
+    """cos of a phase whose frequency sweeps linearly from f0 at t=0 to f1 at t1.
+
+    The operations and their order are those of ``scipy.signal.chirp``
+    with ``method="linear"``, so both give the same bits.
+    """
+    beta = (f1 - f0) / t1
+    phase = 2 * np.pi * (f0 * t + 0.5 * beta * t * t) + np.deg2rad(phi_deg)
+    return np.cos(phase)
+
+
 def _source_chunk(kind: str, length: int, source_spec: dict, rng) -> np.ndarray:
     if kind == "noise":
         sig = rng.standard_normal(length)
         if "band" in source_spec:
             sig = _bandpass(sig, source_spec["band"], rng)
     elif kind == "chirp":
-        f0, f1 = source_spec.get("sweep", (200.0, 3500.0))
+        f0, f1 = (float(f) for f in source_spec.get("sweep", (200.0, 3500.0)))
         t = np.arange(length) / SAMPLE_RATE
-        sig = _chirp(t, f0=f0, t1=length / SAMPLE_RATE, f1=f1, phi=rng.uniform(0.0, 360.0))
+        sig = _linear_chirp(t, f0, length / SAMPLE_RATE, f1, rng.uniform(0.0, 360.0))
     else:
         raise ValueError(f"unknown source kind {kind!r}")
     rms = np.sqrt(np.mean(sig ** 2))

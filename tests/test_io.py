@@ -1,9 +1,11 @@
 import logging
+import struct
 
 import numpy as np
+import pytest
 
 from gsskit import SAMPLE_RATE, Utterance, Waveform
-from gsskit.io import dump_json, load_json, read_wav, utterance_filename, write_wav
+from gsskit.io import _read_riff, dump_json, load_json, read_wav, utterance_filename, write_wav
 
 
 def test_wav_round_trip(tmp_path):
@@ -46,3 +48,158 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "deep" / "doc.json"
     dump_json(payload, path)
     assert load_json(path) == payload
+
+
+# Reference readings come from scipy.io.wavfile, which read_wav replaced.
+
+def _chunk(chunk_id: bytes, payload: bytes, size=None) -> bytes:
+    size = len(payload) if size is None else size
+    return chunk_id + struct.pack("<I", size) + payload + b"\0" * (len(payload) & 1)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag: int, channels: int, bits: int, subformat=None) -> bytes:
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", tag, channels, SAMPLE_RATE, SAMPLE_RATE * align, align, bits)
+    if subformat is not None:
+        guid_tail = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack("<HHII", 22, bits, 0, subformat) + guid_tail
+    return _chunk(b"fmt ", body)
+
+
+def _scipy_read(path):
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    rate, data = wavfile.read(path)
+    return rate, data.reshape(len(data), -1)
+
+
+def _assert_reads_like_scipy(path):
+    rate, data = _read_riff(path)
+    ref_rate, ref = _scipy_read(path)
+    assert rate == ref_rate
+    assert data.dtype == ref.dtype
+    np.testing.assert_array_equal(data, ref)
+    return data
+
+
+def _scaled(data):
+    """read_wav's scaling of scipy's integer and float dtypes."""
+    if data.dtype == np.uint8:
+        return (data.astype(np.float64) - 128.0) / 128.0
+    if data.dtype.kind == "i":
+        return data / float(2 ** (8 * data.dtype.itemsize - 1))
+    return data.astype(np.float64)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "int32", "float32", "float64"])
+def test_read_wav_matches_scipy_on_scipy_files(tmp_path, dtype, channels):
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    rng = np.random.default_rng(1)
+    if np.dtype(dtype).kind == "f":
+        data = rng.uniform(-1.0, 1.0, size=(257, channels)).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=(257, channels), endpoint=True, dtype=dtype)
+    path = tmp_path / "ref.wav"
+    wavfile.write(path, SAMPLE_RATE, data[:, 0] if channels == 1 else data)
+    raw = _assert_reads_like_scipy(path)
+    wave = read_wav(path)
+    assert wave.sample_rate == SAMPLE_RATE
+    np.testing.assert_array_equal(wave.samples, _scaled(raw).T)
+
+
+def test_read_wav_24_bit_is_left_justified_like_scipy(tmp_path):
+    values = [0, 1, -1, 2 ** 23 - 1, -(2 ** 23), 123456, -654321]
+    payload = b"".join(v.to_bytes(3, "little", signed=True) for v in values)
+    path = tmp_path / "pcm24.wav"
+    path.write_bytes(_riff(_fmt(1, 1, 24), _chunk(b"data", payload)))
+    raw = _assert_reads_like_scipy(path)
+    np.testing.assert_array_equal(raw[:, 0], np.array(values, dtype=np.int64) * 256)
+    np.testing.assert_array_equal(read_wav(path).samples[0], np.array(values) / 2.0 ** 23)
+
+
+@pytest.mark.parametrize("subformat, dtype", [(1, "<i2"), (3, "<f4")])
+def test_read_wav_extensible_matches_scipy(tmp_path, subformat, dtype):
+    data = np.arange(-12, 12).reshape(6, 4).astype(dtype)
+    bits = 8 * np.dtype(dtype).itemsize
+    path = tmp_path / "ext.wav"
+    path.write_bytes(_riff(_fmt(0xFFFE, 4, bits, subformat), _chunk(b"data", data.tobytes())))
+    np.testing.assert_array_equal(_assert_reads_like_scipy(path), data)
+
+
+def test_read_wav_skips_odd_sized_chunk_and_its_pad_byte(tmp_path):
+    data = np.array([[1, -2], [3, -4], [5, -6]], dtype="<i2")
+    path = tmp_path / "odd.wav"
+    path.write_bytes(_riff(
+        _fmt(1, 2, 16), _chunk(b"LIST", b"odd"), _chunk(b"data", data.tobytes())
+    ))
+    np.testing.assert_array_equal(_assert_reads_like_scipy(path), data)
+
+
+def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    data = np.arange(40, dtype=np.int16).reshape(20, 2)
+    path = tmp_path / "cut.wav"
+    wavfile.write(path, SAMPLE_RATE, data)
+    full = _scipy_read(path)[1]
+    whole = path.read_bytes()
+
+    path.write_bytes(whole[:-4])  # one whole frame short: scipy reads it too
+    with pytest.warns(wavfile.WavFileWarning):
+        _assert_reads_like_scipy(path)
+
+    path.write_bytes(whole[:-3])  # a partial last frame
+    with caplog.at_level(logging.WARNING):
+        _, raw = _read_riff(path)
+    np.testing.assert_array_equal(raw, full[:-1])
+    assert any("cut.wav" in r.message and "77 of its 80 bytes" in r.message
+               for r in caplog.records)
+
+    streamed = path.read_bytes().replace(b"data" + struct.pack("<I", 80),
+                                         b"data" + struct.pack("<I", 0xFFFFFFFF))
+    path.write_bytes(streamed)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        _, raw = _read_riff(path)
+    np.testing.assert_array_equal(raw, full[:-1])
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("content, message", [
+    (_riff(_fmt(6, 1, 8), _chunk(b"data", b"\x55" * 8)), r"A-law at 8 bits"),
+    (_riff(_fmt(7, 1, 8), _chunk(b"data", b"\x55" * 8)), r"mu-law at 8 bits"),
+    (_riff(_fmt(1, 1, 12), _chunk(b"data", b"\x00" * 8)), r"PCM at 12 bits"),
+    (b"RIFX" + _riff(_fmt(1, 1, 16))[4:], r"not a RIFF/WAVE file"),
+    (b"RF64" + _riff(_fmt(1, 1, 16))[4:], r"not a RIFF/WAVE file"),
+    (_riff(_chunk(b"data", b"\x00" * 8)), r"no 'fmt ' chunk"),
+    (_riff(_fmt(1, 1, 16)), r"no 'data' chunk"),
+])
+def test_read_wav_rejects_other_encodings_naming_the_file(tmp_path, content, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=rf"bad\.wav.*{message}"):
+        read_wav(path)
+
+
+def test_read_wav_alaw_is_rejected_by_scipy_too(tmp_path):
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    path = tmp_path / "alaw.wav"
+    path.write_bytes(_riff(_fmt(6, 1, 8), _chunk(b"data", b"\x55" * 8)))
+    with pytest.raises(ValueError):
+        wavfile.read(path)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+def test_write_wav_bytes_equal_scipy(tmp_path, channels):
+    wavfile = pytest.importorskip("scipy.io.wavfile")
+    rng = np.random.default_rng(2)
+    wave = Waveform(rng.uniform(-1.0, 1.0, size=(channels, 1001)), SAMPLE_RATE)
+    write_wav(tmp_path / "ours.wav", wave)
+    pcm = np.round(wave.samples * 32767.0).astype(np.int16)
+    wavfile.write(tmp_path / "scipy.wav", SAMPLE_RATE, pcm.T if channels > 1 else pcm[0])
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()

@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,34 @@ def test_enhance_utterance_invariant_to_channel_permutation():
         )
         assert perm[details_p.reference_channel] == details.reference_channel
         _assert_close_to_peak(out_p.samples, out.samples)
+
+
+@pytest.mark.parametrize("gain", [1e-3, 7.0])
+def test_enhance_utterance_output_scales_with_input_gain(gain):
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    scaled = Waveform(gain * scene.mixture.samples, scene.mixture.sample_rate)
+    config = fast_config(wpe_enabled=False)
+    for target in utterances:
+        out = enhance_utterance(target, scene.mixture, activity, config)
+        out_g = enhance_utterance(target, scaled, activity, config)
+        _assert_close_to_peak(out_g.samples, gain * out.samples, tol=1e-9)
+
+
+@pytest.mark.parametrize("wpe_enabled", [True, False])
+def test_enhance_utterance_silent_input_gives_silent_output(wpe_enabled):
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    silent = Waveform(np.zeros_like(scene.mixture.samples), scene.mixture.sample_rate)
+    config = fast_config(wpe_enabled=wpe_enabled)
+    for target in utterances:
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            out = enhance_utterance(target, silent, activity, config)
+        assert out.samples.shape == (1, target.duration_samples)
+        assert np.all(out.samples == 0.0)
 
 
 def write_session(tmp_path, scene):
@@ -515,13 +544,26 @@ def test_run_batch_rejects_ids_that_escape_the_output_dir(tmp_path):
     ]
 
 
+def _zero_words_warnings(caplog):
+    return [r for r in caplog.records if "over zero words" in r.message]
+
+
 def test_cli_analyze_overlap_pooled_zero_words_warns(tmp_path, caplog):
     zero_words = [row for row in OVERLAP_DOC if row["session_id"] == "S3"]
     with caplog.at_level(logging.WARNING):
         _analyze_overlap(tmp_path, zero_words)
-    warnings = [r for r in caplog.records if "over zero words" in r.message]
-    # One for session S3 and one for the pooled histogram.
-    assert len(warnings) == 2
+    # Once, for the pooled histogram; the session is not a histogram of its own.
+    assert len(_zero_words_warnings(caplog)) == 1
+
+
+def test_cli_analyze_overlap_warns_only_about_what_it_writes(tmp_path, caplog):
+    # S3 has zero words, but the pooled histogram it feeds does not.
+    with caplog.at_level(logging.WARNING):
+        _analyze_overlap(tmp_path, OVERLAP_DOC)
+    assert _zero_words_warnings(caplog) == []
+    with caplog.at_level(logging.WARNING):
+        _analyze_overlap(tmp_path, OVERLAP_DOC, "--per-session")
+    assert len(_zero_words_warnings(caplog)) == 1
 
 
 def test_non_16k_audio_is_rejected(tmp_path):
@@ -565,3 +607,39 @@ def test_run_batch_continues_after_failed_session(tmp_path, fault):
     assert first["error"]
     assert [row["status"] for row in rest] == ["ok", "ok"]
     assert all(row["session_id"] == scene.session_id for row in rest)
+
+
+def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
+    scene = small_scene()
+    good = write_session(tmp_path, scene)["sessions"][0]
+
+    def no_key(key):
+        return {k: v for k, v in good.items() if k != key}
+
+    sessions = [
+        "S01",
+        no_key("session_id"),
+        dict(good, session_id=7),
+        no_key("audio"),
+        dict(good, audio={}),
+        dict(good, audio=["U01.wav"]),
+        no_key("annotations"),
+        good,
+    ]
+    report = run_batch({"sessions": sessions}, fast_config(output_dir=str(tmp_path / "out")))
+    assert report["failures"] == 7
+    *failed, ok_a, ok_b = report["utterances"]
+    expected = [
+        (None, "manifest entry 0: expected an object, got str"),
+        (None, "manifest entry 1: 'session_id' must be a string"),
+        (7, "manifest entry 2: 'session_id' must be a string"),
+        (scene.session_id, "manifest entry 3: 'audio' must be a non-empty object"),
+        (scene.session_id, "manifest entry 4: 'audio' must be a non-empty object"),
+        (scene.session_id, "manifest entry 5: 'audio' must be a non-empty object"),
+        (scene.session_id, "manifest entry 6: 'annotations' is missing"),
+    ]
+    for row, (session_id, message) in zip(failed, expected):
+        assert row["status"] == "failed"
+        assert row["session_id"] == session_id
+        assert row["error"].startswith(message)
+    assert ok_a["status"] == ok_b["status"] == "ok"

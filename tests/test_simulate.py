@@ -156,3 +156,16 @@ def test_scene_rejects_duplicate_speakers_and_bad_kind():
     spec["mixing"] = {"kind": "anechoic"}
     with pytest.raises(ValueError, match="mixing"):
         simulate_scene(spec, seed=0)
+
+
+@pytest.mark.parametrize("f0, f1, phi", [(200.0, 3500.0, 0.0), (300, 3500, 123.4), (3000.0, 150.0, 359.9)])
+def test_linear_chirp_is_bit_identical_to_scipy(f0, f1, phi):
+    signal = pytest.importorskip("scipy.signal")
+    from gsskit.simulate import _linear_chirp
+
+    length = 40_000
+    t = np.arange(length) / SAMPLE_RATE
+    t1 = length / SAMPLE_RATE
+    ours = _linear_chirp(t, float(f0), t1, float(f1), phi)
+    ref = signal.chirp(t, f0=f0, t1=t1, f1=f1, phi=phi)
+    assert ours.tobytes() == ref.tobytes()

@@ -41,7 +41,6 @@ from .mixture import (
     MixtureParams,
     Posterior,
     em_fit,
-    init_posteriors,
     normalize_observations,
     trim_context,
 )

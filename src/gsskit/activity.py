@@ -7,6 +7,7 @@ centisecond is a whole number of samples at that rate.
 """
 
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,22 +44,25 @@ __all__ = [
 ]
 
 
+_TIMESTAMP = re.compile(r"(\d+):(\d+):(\d+)(?:\.(\d*))?", re.ASCII)
+
+
 def parse_time(text: str) -> int:
     """Convert "H:MM:SS.ff" to a sample index at 16 kHz.
 
-    Fractional digits beyond what the sample grid resolves raise, rather
-    than rounding silently.
+    Every field is ASCII digits only, so signs, inner spaces and
+    underscores raise. Fractional digits beyond what the sample grid
+    resolves raise too, rather than rounding silently.
     """
     try:
-        hours, minutes, rest = text.strip().split(":")
-        if "." in rest:
-            seconds, frac = rest.split(".")
-        else:
-            seconds, frac = rest, ""
-        whole = (int(hours) * 60 + int(minutes)) * 60 + int(seconds)
-        if int(hours) < 0 or not 0 <= int(minutes) < 60 or not 0 <= int(seconds) < 60:
+        match = _TIMESTAMP.fullmatch(text.strip())
+        if match is None:
             raise ValueError
-        samples = whole * SAMPLE_RATE
+        hours, minutes, seconds = (int(f) for f in match.groups()[:3])
+        frac = match[4] or ""
+        if minutes >= 60 or seconds >= 60:
+            raise ValueError
+        samples = ((hours * 60 + minutes) * 60 + seconds) * SAMPLE_RATE
         if frac:
             numer = int(frac) * SAMPLE_RATE
             denom = 10 ** len(frac)

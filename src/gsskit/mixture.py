@@ -9,7 +9,7 @@ by construction.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Posterior",
     "EmConfig",
     "normalize_observations",
-    "init_posteriors",
     "em_fit",
     "trim_context",
 ]
@@ -105,19 +104,17 @@ class EmConfig:
     """EM schedule and numerical guards.
 
     Attributes:
-        iterations: EM iterations on the full (context-extended) segment.
+        iterations: EM iterations on the full (context-extended) segment,
+            the only fit of an utterance.
         eps_load: relative diagonal loading applied to shape matrices
             before inversion.
         weight_floor: lower bound on mixture weights, renormalised after
             flooring.
-        refine_iterations: extra iterations restricted to the core frames
-            after context trimming; 0 disables the refinement stage.
     """
 
     iterations: int = 20
     eps_load: float = 1e-6
     weight_floor: float = 1e-4
-    refine_iterations: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -126,8 +123,6 @@ class EmConfig:
             raise ValueError("eps_load must be positive")
         if not 0 < self.weight_floor < 1:
             raise ValueError(f"weight_floor must be in (0, 1), got {self.weight_floor}")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be non-negative")
 
 
 def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
@@ -147,13 +142,6 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     units = obs / np.where(valid, norm, 1.0)[..., None]
     units[~valid] = 1.0 / np.sqrt(obs.shape[-1])
     return DirectionalObservations(units=units, valid=valid)
-
-
-def init_posteriors(activity: ActivityMask, num_bins: int) -> Posterior:
-    """Uniform posterior over the admissible classes of every frame."""
-    active = activity.active
-    gamma = active / active.sum(axis=0, keepdims=True)
-    return Posterior(gamma=np.repeat(gamma[:, :, None], num_bins, axis=2).astype(np.float64))
 
 
 def _prepare_shapes(shapes: np.ndarray, eps_load: float):
@@ -240,8 +228,12 @@ def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.n
     return np.clip(out, 1e-12, None, out=out)
 
 
-def _em_block(units, valid, active, gamma, config):
+def _em_block(units, valid, active, config):
     """Run the EM iterations for one block of frequency bins.
+
+    The fit starts from the posterior that is uniform over the admissible
+    classes of each frame, the same for every bin; invalid frames keep it
+    throughout.
 
     Both EM steps are real batched matrix products against one feature
     tensor ``feats`` of shape (F, D*D, T), built once per block by
@@ -263,7 +255,6 @@ def _em_block(units, valid, active, gamma, config):
         units: (F, T, D) unit observations.
         valid: (F, T) bool.
         active: (K, T) bool.
-        gamma: (F, K, T) initial posteriors.
         config: EmConfig.
 
     Returns:
@@ -278,10 +269,11 @@ def _em_block(units, valid, active, gamma, config):
     eye[:dim] = 1.0
     packed = np.broadcast_to(eye, (bins, classes, dim * dim)).copy()
     shapes = _unpack_hermitian(packed, dim)
-    weights = np.full((bins, classes), 1.0 / classes)
 
-    # Posterior of invalid frames: uniform over the admissible classes.
+    # Uniform over the admissible classes: the start posterior of every
+    # frame and the posterior of invalid frames.
     uniform = (active / active.sum(axis=0, keepdims=True))[None, :, :]
+    gamma = uniform
     inactive = ~active[None, :, :]
     invalid = ~valid[:, None, :]
 
@@ -339,23 +331,21 @@ def em_fit(
     observations: DirectionalObservations,
     activity: ActivityMask,
     config: EmConfig = EmConfig(),
-    initial: Posterior | None = None,
     return_likelihoods: bool = False,
 ):
     """Fit the guided mixture model.
 
     Each iteration runs the M-step on the current posteriors and then the
     clamped E-step under the refreshed parameters; the first M-step
-    consumes the activity-uniform initialisation (or ``initial``). The
-    log-likelihood of the restricted mixture is recorded after every
-    E-step and is non-decreasing up to the diagonal-loading perturbation.
+    consumes the posterior that is uniform over the admissible classes of
+    each frame. The log-likelihood of the restricted mixture is recorded
+    after every E-step and is non-decreasing up to the diagonal-loading
+    perturbation.
 
     Args:
         observations: (T, F, D) unit directions with validity mask.
         activity: (K, T) admissible classes per frame.
         config: EM schedule.
-        initial: posterior warm start, defaults to the activity-uniform
-            initialisation.
         return_likelihoods: also return the per-iteration log-likelihood.
 
     Returns:
@@ -369,17 +359,8 @@ def em_fit(
             f"have {frames}"
         )
     classes = activity.num_classes
-    if initial is None:
-        initial = init_posteriors(activity, bins)
-    if initial.gamma.shape != (classes, frames, bins):
-        raise ValueError(
-            f"initial posterior shape {initial.gamma.shape} does not match "
-            f"(K, T, F) = {(classes, frames, bins)}"
-        )
-
     units = observations.units.transpose(1, 0, 2)
     valid = observations.valid.T
-    gamma0 = initial.gamma.transpose(2, 0, 1)
 
     weights = np.empty((bins, classes))
     shapes = np.empty((bins, classes, dim, dim), dtype=np.complex128)
@@ -390,7 +371,7 @@ def em_fit(
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
         weights[lo:hi], shapes[lo:hi], gamma[lo:hi], block_ll = _em_block(
-            units[lo:hi], valid[lo:hi], activity.active, gamma0[lo:hi], config
+            units[lo:hi], valid[lo:hi], activity.active, config
         )
         likelihoods += block_ll
 

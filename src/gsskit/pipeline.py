@@ -11,7 +11,7 @@ exactly the core duration.
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,6 @@ from .beamforming import (
 )
 from .io import load_json, read_wav, utterance_filename, write_wav
 from .mixture import (
-    ActivityMask,
-    DirectionalObservations,
     EmConfig,
     Posterior,
     em_fit,
@@ -119,15 +117,24 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
+        """Build from a JSON document; ``stft``, ``wpe`` and ``em`` are
+        nested objects. Unknown keys are rejected at every level."""
+        kwargs = _section_kwargs(cls, raw, "config")
         for key, sub in (("stft", StftConfig), ("wpe", WpeConfig), ("em", EmConfig)):
-            if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = sub(**kwargs[key])
+            if key in kwargs:
+                kwargs[key] = sub(**_section_kwargs(sub, kwargs[key], key))
         return cls(**kwargs)
+
+
+def _section_kwargs(cls, raw, section: str) -> dict:
+    """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``,
+    rejecting anything else with a message that names ``section``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    return dict(raw)
 
 
 @dataclass
@@ -224,26 +231,9 @@ def enhance_utterance(
     mask = activity_to_frames(activity, extended, config.stft)
     target_class = activity.class_of(utterance.speaker_id)
 
-    params, posterior, likelihoods = em_fit(
-        observations, mask, config.em, return_likelihoods=True
-    )
+    _, posterior, likelihoods = em_fit(observations, mask, config.em, return_likelihoods=True)
     core = extended.core_frame_range(config.stft)
-
-    if config.em.refine_iterations > 0:
-        core_obs = DirectionalObservations(
-            units=observations.units[core.start:core.stop],
-            valid=observations.valid[core.start:core.stop],
-        )
-        core_mask = ActivityMask(active=mask.active[:, core.start:core.stop])
-        refine = replace(config.em, iterations=config.em.refine_iterations)
-        params, posterior_core, more = em_fit(
-            core_obs, core_mask, refine,
-            initial=trim_context(posterior, core),
-            return_likelihoods=True,
-        )
-        likelihoods = np.concatenate([likelihoods, more])
-    else:
-        posterior_core = trim_context(posterior, core)
+    posterior_core = trim_context(posterior, core)
 
     core_spec = spectrogram.take_frames(core)
     psds = estimate_psds(core_spec, posterior_core, target_class)
@@ -263,9 +253,9 @@ def enhance_utterance(
 
     masking_applied = False
     if config.masking_enabled:
-        gamma = trim_context(posterior, synth).gamma.copy()
-        gamma[:, core.start - synth.start:core.stop - synth.start] = posterior_core.gamma
-        estimate = apply_target_mask(estimate, Posterior(gamma), target_class, config.mask_floor)
+        estimate = apply_target_mask(
+            estimate, trim_context(posterior, synth), target_class, config.mask_floor
+        )
         masking_applied = True
 
     # Synthesis offset: local position of the core start within the frame

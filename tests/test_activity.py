@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gsskit import (
     SAMPLE_RATE,
@@ -57,7 +59,12 @@ def test_parse_time_known_values():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "12.5", "0:00:61.00", "0:61:00.00", "x:00:00.00", "0:00:00.0001"]
+    "text",
+    [
+        "", "12.5", "0:00:61.00", "0:61:00.00", "x:00:00.00", "0:00:00.0001",
+        # int() takes signs, inner spaces and underscores; a timestamp may not.
+        "0:00:01.-5", "0:00:01. 5", "0:00:0_1", "+0:00:01.00", "0: 00:01.00",
+    ],
 )
 def test_parse_time_rejects(text):
     with pytest.raises(ValueError, match="malformed timestamp"):
@@ -71,6 +78,12 @@ def test_format_time_round_trip():
         assert parse_time(format_time(samples)) == samples
     assert format_time(0) == "0:00:00.00"
     assert format_time(int(3723.45 * SAMPLE_RATE)) == "1:02:03.45"
+
+
+@given(st.integers(min_value=0, max_value=10 ** 12))
+def test_parse_time_inverts_format_time(centis):
+    samples = centis * (SAMPLE_RATE // 100)
+    assert parse_time(format_time(samples)) == samples
 
 
 def test_format_time_rejects_off_grid():
@@ -90,6 +103,14 @@ def test_utterance_validation_and_words():
         Utterance("S1", "A", 200, 100, ())
 
 
+def check_interval_ops(a, b, length):
+    da, db = rasterize(a, length), rasterize(b, length)
+    ca, cb = merge_intervals(a), merge_intervals(b)
+    assert ca == intervals_from_dense(da)
+    assert intersect_intervals(ca, cb) == intervals_from_dense(da & db)
+    assert subtract_intervals(ca, cb) == intervals_from_dense(da & ~db)
+
+
 def test_interval_ops_match_dense_oracle():
     rng = np.random.default_rng(1)
     length = 400
@@ -98,11 +119,16 @@ def test_interval_ops_match_dense_oracle():
              zip(rng.integers(0, 280, 6), rng.integers(1, 40, 6))]
         b = [(int(lo), int(lo + d)) for lo, d in
              zip(rng.integers(0, 280, 6), rng.integers(1, 40, 6))]
-        da, db = rasterize(a, length), rasterize(b, length)
-        ca, cb = merge_intervals(a), merge_intervals(b)
-        assert ca == intervals_from_dense(da)
-        assert intersect_intervals(ca, cb) == intervals_from_dense(da & db)
-        assert subtract_intervals(ca, cb) == intervals_from_dense(da & ~db)
+        check_interval_ops(a, b, length)
+
+
+# A short range makes touching, nested and empty spans common.
+span_lists = st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=8)
+
+
+@given(span_lists, span_lists)
+def test_interval_ops_match_boolean_oracle(a, b):
+    check_interval_ops(a, b, 16)
 
 
 def test_interval_ops_drop_empty_spans():

@@ -10,7 +10,6 @@ from gsskit import (
     Spectrogram,
     StftConfig,
     em_fit,
-    init_posteriors,
     normalize_observations,
     trim_context,
 )
@@ -61,8 +60,6 @@ def test_em_config_validation():
         EmConfig(weight_floor=1.0)
     with pytest.raises(ValueError):
         EmConfig(eps_load=0.0)
-    with pytest.raises(ValueError):
-        EmConfig(refine_iterations=-1)
 
 
 def test_normalize_observations_unit_norm_and_zero_handling():
@@ -100,15 +97,6 @@ def test_normalize_observations_matches_where_expression():
         )
         np.testing.assert_array_equal(obs.valid, valid)
         np.testing.assert_array_equal(obs.units, expected)
-
-
-def test_init_posteriors_uniform_over_active():
-    active = np.array([[True, True, True], [True, False, True], [False, False, True]])
-    post = init_posteriors(ActivityMask(active), num_bins=2)
-    assert post.gamma.shape == (3, 3, 2)
-    np.testing.assert_allclose(post.gamma[:, 0, 0], [0.5, 0.5, 0.0])
-    np.testing.assert_allclose(post.gamma[:, 1, 1], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(post.gamma[:, 2, 0], [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_em_simplex_clamping_and_monotone_likelihood():
@@ -172,18 +160,6 @@ def test_em_invalid_bins_get_uniform_posterior():
     np.testing.assert_allclose(post.gamma[:, 11, 0], [1.0, 0.0])
 
 
-def test_em_warm_start_keeps_shape_and_assignment():
-    rng = np.random.default_rng(5)
-    obs = random_observations(rng, 50, 5, 3)
-    act = random_activity(rng, 3, 50)
-    _, first = em_fit(obs, act, EmConfig(iterations=8))
-    _, resumed = em_fit(obs, act, EmConfig(iterations=2), initial=first)
-    assert resumed.gamma.shape == first.gamma.shape
-    hard_before = first.gamma.argmax(axis=0)
-    hard_after = resumed.gamma.argmax(axis=0)
-    assert (hard_before == hard_after).mean() > 0.95
-
-
 def test_trim_context():
     gamma = np.random.default_rng(6).random((2, 20, 4))
     gamma /= gamma.sum(axis=0, keepdims=True)
@@ -226,10 +202,10 @@ def reference_em(observations, activity, config):
     active = activity.active
     bins, frames, dim = units.shape
     classes = active.shape[0]
-    gamma = init_posteriors(activity, bins).gamma.transpose(2, 0, 1)
+    uniform = (active / active.sum(axis=0, keepdims=True))[None]
+    gamma = uniform
     eye = np.eye(dim, dtype=complex)
     shapes = np.broadcast_to(eye, (bins, classes, dim, dim)).copy()
-    uniform = (active / active.sum(axis=0, keepdims=True))[None]
     inv, logdet = reference_prepare(shapes, config.eps_load)
     quad = reference_quadratic_form(units, inv)
     likelihoods = np.zeros(config.iterations)

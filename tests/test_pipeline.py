@@ -8,7 +8,6 @@ import pytest
 
 from gsskit import (
     SAMPLE_RATE,
-    EmConfig,
     PipelineConfig,
     Utterance,
     Waveform,
@@ -75,6 +74,11 @@ def test_config_from_dict_nested():
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown config keys"):
         PipelineConfig.from_dict({"tracks": "multi"})
+    with pytest.raises(ValueError, match="config must be an object"):
+        PipelineConfig.from_dict(["em"])
+    # A config written for the removed core-frame refinement is told so.
+    with pytest.raises(ValueError, match=r"unknown em keys: \['refine_iterations'\]"):
+        PipelineConfig.from_dict({"em": {"iterations": 5, "refine_iterations": 2}})
     with pytest.raises(ValueError, match="track"):
         PipelineConfig(track="stereo")
     with pytest.raises(ValueError, match="one array"):
@@ -83,6 +87,14 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(workers=0)
     with pytest.raises(ValueError, match="masking"):
         PipelineConfig(masking="sometimes")
+
+
+@pytest.mark.parametrize("section", ["stft", "wpe", "em"])
+def test_config_rejects_unknown_nested_keys(section):
+    with pytest.raises(ValueError, match=rf"^unknown {section} keys: \['iters'\]$"):
+        PipelineConfig.from_dict({section: {"iters": 5}})
+    with pytest.raises(ValueError, match=rf"^{section} must be an object, got int$"):
+        PipelineConfig.from_dict({section: 5})
 
 
 def test_config_rejects_unknown_reference_mode():
@@ -126,6 +138,9 @@ def test_enhance_utterance_returns_core_audio():
     assert out.samples.shape == (1, target.duration_samples)
     assert np.all(np.isfinite(out.samples))
     assert details.psd_frame_count == len(details.core_frames)
+    assert details.posterior_core.gamma.shape[1] == len(details.core_frames)
+    assert details.log_likelihoods.shape == (config.em.iterations,)
+    assert np.all(np.isfinite(details.log_likelihoods))
     assert details.wpe_applied
     assert not details.masking_applied
     assert 0 <= details.reference_channel < 4
@@ -157,22 +172,6 @@ def test_enhance_utterance_needs_multichannel():
     mono = Waveform(scene.mixture.samples[:1], SAMPLE_RATE)
     with pytest.raises(ValueError, match="multi-channel"):
         enhance_utterance(utterances[0], mono, activity, fast_config())
-
-
-def test_enhance_utterance_refine_stage():
-    scene = small_scene()
-    utterances = parse_annotations(scene.annotations)
-    activity = build_activity(utterances, scene.mixture.duration)
-    em = EmConfig(iterations=6, refine_iterations=3)
-    for target in utterances:
-        out, details = enhance_utterance(
-            target, scene.mixture, activity, fast_config(em=em), return_details=True
-        )
-        assert out.samples.shape == (1, target.duration_samples)
-        assert np.all(np.isfinite(out.samples))
-        assert details.log_likelihoods.shape == (9,)
-        assert np.all(np.isfinite(details.log_likelihoods))
-        assert details.posterior_core.gamma.shape[1] == len(details.core_frames)
 
 
 def _assert_close_to_peak(actual, expected, tol=1e-8):

@@ -18,6 +18,8 @@ from .signal import Spectrogram
 
 logger = logging.getLogger(__name__)
 
+EPS_LOAD = 1e-6  # distortion-covariance diagonal loading, relative to the mean diagonal
+
 __all__ = [
     "PsdSet",
     "BeamformerWeights",
@@ -122,22 +124,22 @@ def estimate_psds(
     )
 
 
-def _loaded(psd: np.ndarray, eps: float) -> np.ndarray:
+def _loaded(psd: np.ndarray) -> np.ndarray:
     """Relative diagonal loading; zero-trace matrices get a tiny absolute
     floor so the solve stays defined."""
     dim = psd.shape[-1]
     trace = np.einsum("...dd->...", psd).real
-    scale = eps * trace / dim + np.where(trace <= 0.0, 1e-300, 0.0)
+    scale = EPS_LOAD * trace / dim + np.where(trace <= 0.0, 1e-300, 0.0)
     return psd + scale[..., None, None] * np.eye(dim)
 
 
-def _souden_beamformers(psds: PsdSet, eps: float) -> np.ndarray:
+def _souden_beamformers(psds: PsdSet) -> np.ndarray:
     """Beamformers of every candidate reference channel from one solve.
 
     Returns (D, F, D); entry r holds the (F, D) weights of reference r,
     column r of the trace-normalised ratio Phi_nn^-1 Phi_xx.
     """
-    ratio = np.linalg.solve(_loaded(psds.distortion, eps), psds.target)
+    ratio = np.linalg.solve(_loaded(psds.distortion), psds.target)
     trace = np.einsum("fdd->f", ratio).real
     degenerate = trace <= 1e-12
     if np.any(degenerate):
@@ -150,9 +152,7 @@ def _souden_beamformers(psds: PsdSet, eps: float) -> np.ndarray:
     return np.ascontiguousarray(weights.transpose(2, 0, 1))
 
 
-def mvdr_souden(
-    psds: PsdSet, reference: int, eps: float = 1e-6
-) -> BeamformerWeights:
+def mvdr_souden(psds: PsdSet, reference: int) -> BeamformerWeights:
     """Distortionless beamformer from the covariance ratio.
 
     Computes ``w = (Phi_nn^-1 Phi_xx / trace(Phi_nn^-1 Phi_xx)) e_ref``
@@ -163,31 +163,26 @@ def mvdr_souden(
     dim = psds.num_channels
     if not 0 <= reference < dim:
         raise ValueError(f"reference channel {reference} out of range for {dim} channels")
-    return BeamformerWeights(weights=_souden_beamformers(psds, eps)[reference], reference=reference)
+    return BeamformerWeights(weights=_souden_beamformers(psds)[reference], reference=reference)
 
 
-def select_reference(psds: PsdSet, mode: str = "linear", eps: float = 1e-6) -> int:
+def select_reference(psds: PsdSet) -> int:
     """Choose the reference channel with the best expected output SNR.
 
     Every candidate's beamformer is a column of one covariance ratio; each
     is scored by the ratio of beamformed target to distortion power,
-    averaged over frequency (in the linear domain by default, in dB with
-    ``mode="db"``). Ties resolve to the lowest channel index.
+    averaged over frequency in the linear domain. Ties resolve to the
+    lowest channel index.
     """
-    if mode not in ("linear", "db"):
-        raise ValueError(f"unknown reference selection mode {mode!r}")
     dim = psds.num_channels
-    beamformers = _souden_beamformers(psds, eps)
+    beamformers = _souden_beamformers(psds)
     scores = np.empty(dim)
     for channel in range(dim):
         w = beamformers[channel]
         num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
         den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
         snr = np.maximum(num, 0.0) / np.maximum(den, 1e-300)
-        if mode == "db":
-            scores[channel] = np.mean(10.0 * np.log10(np.maximum(snr, 1e-12)))
-        else:
-            scores[channel] = np.mean(snr)
+        scores[channel] = np.mean(snr)
     return int(np.argmax(scores))
 
 
@@ -219,13 +214,9 @@ def apply_beamformer(spectrogram: Spectrogram, weights: BeamformerWeights) -> Sp
 
 
 def apply_target_mask(
-    spectrogram: Spectrogram, posterior: Posterior, target_class: int, floor: float = 0.0
+    spectrogram: Spectrogram, posterior: Posterior, target_class: int
 ) -> Spectrogram:
-    """Multiply a single-channel spectrogram with the target posterior.
-
-    The mask is floored at ``floor`` before multiplication; a floor of 0
-    keeps the raw posterior.
-    """
+    """Multiply a single-channel spectrogram with the raw target posterior."""
     if spectrogram.num_channels != 1:
         raise ValueError("target masking expects a single-channel spectrogram")
     classes, frames, bins = posterior.gamma.shape
@@ -236,9 +227,7 @@ def apply_target_mask(
             f"posterior frames/bins {(frames, bins)} do not match "
             f"spectrogram {spectrogram.bins.shape[1:]}"
         )
-    if floor < 0.0:
-        raise ValueError(f"mask floor must be non-negative, got {floor}")
-    mask = np.maximum(posterior.gamma[target_class], floor)
+    mask = posterior.gamma[target_class]
     return Spectrogram(
         spectrogram.bins * mask[None], spectrogram.config, spectrogram.sample_rate
     )

@@ -99,30 +99,27 @@ class Posterior:
     gamma: np.ndarray
 
 
+EPS_LOAD = 1e-6  # shape-matrix diagonal loading, relative to the mean diagonal
+WEIGHT_FLOOR = 1e-4  # lower bound on mixture weights, renormalised after flooring
+
+
 @dataclass(frozen=True)
 class EmConfig:
-    """EM schedule and numerical guards.
+    """EM schedule.
+
+    The numerical guards are the module constants :data:`EPS_LOAD` and
+    :data:`WEIGHT_FLOOR`.
 
     Attributes:
         iterations: EM iterations on the full (context-extended) segment,
             the only fit of an utterance.
-        eps_load: relative diagonal loading applied to shape matrices
-            before inversion.
-        weight_floor: lower bound on mixture weights, renormalised after
-            flooring.
     """
 
     iterations: int = 20
-    eps_load: float = 1e-6
-    weight_floor: float = 1e-4
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.eps_load <= 0:
-            raise ValueError("eps_load must be positive")
-        if not 0 < self.weight_floor < 1:
-            raise ValueError(f"weight_floor must be in (0, 1), got {self.weight_floor}")
 
 
 def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
@@ -144,17 +141,17 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     return DirectionalObservations(units=units, valid=valid)
 
 
-def _prepare_shapes(shapes: np.ndarray, eps_load: float):
+def _prepare_shapes(shapes: np.ndarray):
     """Loaded inverse and log-determinant of a stack of shape matrices.
 
-    Returns (inverse, logdet) for shapes + eps_load * (trace / D) * I, the
+    Returns (inverse, logdet) for shapes + EPS_LOAD * (trace / D) * I, the
     form used consistently for every density evaluation. The loaded matrix
     is Hermitian positive definite, so its log-determinant is twice the
     summed log of its Cholesky diagonal.
     """
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
-    loaded = shapes + (eps_load * trace / dim)[..., None, None] * np.eye(dim)
+    loaded = shapes + (EPS_LOAD * trace / dim)[..., None, None] * np.eye(dim)
     inv = np.linalg.inv(loaded)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2).conj())
     chol_diag = np.diagonal(np.linalg.cholesky(loaded), axis1=-2, axis2=-1).real
@@ -278,7 +275,7 @@ def _em_block(units, valid, active, config):
     invalid = ~valid[:, None, :]
 
     quad = np.empty((bins, classes, frames))
-    inv, logdet = _prepare_shapes(shapes, config.eps_load)
+    inv, logdet = _prepare_shapes(shapes)
     _quadratic_form(feats, inv, quad)
     likelihoods = np.zeros(config.iterations)
 
@@ -298,13 +295,13 @@ def _em_block(units, valid, active, config):
 
         total = denom.sum(axis=-1, keepdims=True)
         weights = np.where(total > 0.0, denom / np.maximum(total, 1e-300), 1.0 / classes)
-        weights = np.maximum(weights, config.weight_floor)
+        weights = np.maximum(weights, WEIGHT_FLOOR)
         weights = weights / weights.sum(axis=-1, keepdims=True)
 
         # E-step: clamped posteriors under the refreshed parameters. The
         # noise class is always active, so the peak is finite and the
         # normaliser is at least exp(0) = 1.
-        inv, logdet = _prepare_shapes(shapes, config.eps_load)
+        inv, logdet = _prepare_shapes(shapes)
         _quadratic_form(feats, inv, quad)
         log_score = np.log(quad)
         log_score *= -dim

@@ -4,8 +4,8 @@ For every utterance the pipeline cuts a context-extended segment, runs
 dereverberation, fits the guided spatial mixture model on the whole
 segment, drops the context posteriors, estimates covariances on the core
 frames only, beamforms with the SNR-selected reference channel plus the
-analytic postfilter, optionally applies the target mask, and resynthesises
-exactly the core duration.
+analytic postfilter, multiplies the beamformed signal by the raw target
+posterior when masking is on, and resynthesises exactly the core duration.
 """
 
 import logging
@@ -67,12 +67,10 @@ class PipelineConfig:
         wpe_enabled: skip dereverberation entirely when False.
         em: mixture model schedule.
         masking: "on", "off", or "auto" (on for the single-array track,
-            off for the multi-array track).
-        mask_floor: lower bound applied to the target mask.
+            off for the multi-array track); the mask is the raw target
+            posterior.
         context_seconds: annotation context pulled in around each
             utterance for dereverberation and mixture fitting.
-        reference_mode: "linear" or "db" averaging for reference channel
-            scoring.
         output_dir: where enhanced WAV files go.
         workers: concurrent utterances; results do not depend on it.
     """
@@ -84,9 +82,7 @@ class PipelineConfig:
     wpe_enabled: bool = True
     em: EmConfig = field(default_factory=EmConfig)
     masking: str = "auto"
-    mask_floor: float = 0.0
     context_seconds: float = 15.0
-    reference_mode: str = "linear"
     output_dir: str = "enhanced"
     workers: int = 1
 
@@ -95,18 +91,12 @@ class PipelineConfig:
             raise ValueError(f"track must be 'single' or 'multi', got {self.track!r}")
         if self.masking not in ("auto", "on", "off"):
             raise ValueError(f"masking must be 'auto', 'on' or 'off', got {self.masking!r}")
-        if self.reference_mode not in ("linear", "db"):
-            raise ValueError(
-                f"reference_mode must be 'linear' or 'db', got {self.reference_mode!r}"
-            )
         if self.track == "single" and len(self.arrays) > 1:
             raise ValueError("the single-array track takes exactly one array")
-        if self.context_seconds < 0:
+        if not self.context_seconds >= 0:  # also turns NaN away
             raise ValueError("context_seconds must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.mask_floor < 0:
-            raise ValueError("mask_floor must be non-negative")
         object.__setattr__(self, "arrays", tuple(self.arrays))
 
     @property
@@ -118,7 +108,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Build from a JSON document; ``stft``, ``wpe`` and ``em`` are
-        nested objects. Unknown keys are rejected at every level."""
+        nested objects. Unknown keys and values of the wrong JSON type are
+        rejected at every level."""
         kwargs = _section_kwargs(cls, raw, "config")
         for key, sub in (("stft", StftConfig), ("wpe", WpeConfig), ("em", EmConfig)):
             if key in kwargs:
@@ -126,14 +117,37 @@ class PipelineConfig:
         return cls(**kwargs)
 
 
+# JSON types each config field type accepts, and how to name them. bool
+# is a subclass of int, so the numeric fields turn it away explicitly.
+_JSON_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "a list of strings"),
+}
+
+
 def _section_kwargs(cls, raw, section: str) -> dict:
     """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``,
-    rejecting anything else with a message that names ``section``."""
+    rejecting anything else with a message that names ``section`` and,
+    for a value of the wrong type, the key."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(cls.__dataclass_fields__)
+    fields = cls.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = fields[key].type
+        if kind not in _JSON_TYPES:
+            continue  # a nested section, checked as its own section
+        accepted, name = _JSON_TYPES[kind]
+        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+        if kind is tuple:
+            ok = ok and all(isinstance(item, str) for item in value)
+        if not ok:
+            raise ValueError(f"{section}.{key} must be {name}, got {type(value).__name__}")
     return dict(raw)
 
 
@@ -237,7 +251,7 @@ def enhance_utterance(
 
     core_spec = spectrogram.take_frames(core)
     psds = estimate_psds(core_spec, posterior_core, target_class)
-    reference = select_reference(psds, config.reference_mode)
+    reference = select_reference(psds)
     weights = ban_postfilter(mvdr_souden(psds, reference), psds)
 
     # Statistics come from core frames only, but synthesis needs guard
@@ -253,9 +267,7 @@ def enhance_utterance(
 
     masking_applied = False
     if config.masking_enabled:
-        estimate = apply_target_mask(
-            estimate, trim_context(posterior, synth), target_class, config.mask_floor
-        )
+        estimate = apply_target_mask(estimate, trim_context(posterior, synth), target_class)
         masking_applied = True
 
     # Synthesis offset: local position of the core start within the frame
@@ -282,17 +294,27 @@ def enhance_utterance(
 
 
 def _check_entry(index: int, entry) -> None:
-    """Reject a manifest entry that lacks a key the loader needs."""
+    """Reject a manifest entry that lacks a key the loader needs or holds a
+    value of the wrong type; ``open`` would take an integer path as a file
+    descriptor, and close it."""
     where = f"manifest entry {index}"
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
     if not isinstance(entry.get("session_id"), str):
         raise ValueError(f"{where}: 'session_id' must be a string")
     audio_map = entry.get("audio")
-    if not isinstance(audio_map, dict) or not audio_map:
+    if (not isinstance(audio_map, dict) or not audio_map
+            or not all(isinstance(path, str) for path in audio_map.values())):
         raise ValueError(f"{where}: 'audio' must be a non-empty object of array id -> WAV path")
     if "annotations" not in entry:
         raise ValueError(f"{where}: 'annotations' is missing")
+    if not isinstance(entry["annotations"], str):
+        raise ValueError(f"{where}: 'annotations' must be the path of a JSON file")
+    if not isinstance(entry.get("silences", {}), (dict, str, type(None))):
+        raise ValueError(f"{where}: 'silences' must be an object or the path of a JSON file")
+    length = entry.get("length_seconds", 0.0)
+    if isinstance(length, bool) or not isinstance(length, (int, float)):
+        raise ValueError(f"{where}: 'length_seconds' must be a number")
 
 
 def _load_session(entry: dict, config: PipelineConfig):
@@ -342,15 +364,24 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     session that fails to load, including an entry that is not an object
     or lacks ``session_id``, ``audio`` or ``annotations``, is recorded as
     one failed row carrying its ``session_id`` (None when there is none)
-    and ``error``, and the batch goes on with the next one.
+    and ``error``, and the batch goes on with the next one. A manifest
+    that is not an object with a ``sessions`` list raises ValueError.
     """
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest must be an object, got {type(manifest).__name__}")
+    if "sessions" not in manifest:
+        raise ValueError(f"manifest has no 'sessions' list, only keys {sorted(manifest)}")
+    if not isinstance(manifest["sessions"], list):
+        raise ValueError(
+            f"manifest 'sessions' must be a list, got {type(manifest['sessions']).__name__}"
+        )
     report = {
         "track": config.track,
         "output_dir": config.output_dir,
         "utterances": [],
         "failures": 0,
     }
-    for index, entry in enumerate(manifest.get("sessions", [])):
+    for index, entry in enumerate(manifest["sessions"]):
         session_id = entry.get("session_id") if isinstance(entry, dict) else None
         try:
             _check_entry(index, entry)

@@ -25,18 +25,16 @@ __all__ = [
 class StftConfig:
     """Analysis/synthesis parameters shared by all spectral processing.
 
+    The window is always the periodic Hann window, and the signal tails
+    are mirrored before framing.
+
     Attributes:
         fft_size: DFT length in samples, must be even.
         shift: hop between adjacent frames in samples, 0 < shift <= fft_size.
-        window: window family; only "hann" (periodic) is offered.
-        pad_mode: edge handling before framing, "symmetric-edge" mirrors the
-            signal tails, "zero" pads with silence.
     """
 
     fft_size: int = 1024
     shift: int = 256
-    window: str = "hann"
-    pad_mode: str = "symmetric-edge"
 
     def __post_init__(self):
         if self.fft_size <= 0 or self.fft_size % 2 != 0:
@@ -49,10 +47,6 @@ class StftConfig:
                 f"bad stft config: shift must satisfy 0 < shift <= fft_size, "
                 f"got shift={self.shift}, fft_size={self.fft_size}"
             )
-        if self.window != "hann":
-            raise ValueError(f"bad stft config: unsupported window {self.window!r}")
-        if self.pad_mode not in ("symmetric-edge", "zero"):
-            raise ValueError(f"bad stft config: unsupported pad_mode {self.pad_mode!r}")
 
     @property
     def num_bins(self) -> int:
@@ -154,9 +148,9 @@ def num_frames(num_samples: int, config: StftConfig) -> int:
 def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     """Windowed short-time transform of every channel.
 
-    The signal is padded with ``config.pad`` samples on both ends (mirrored
-    or zero, per ``pad_mode``) so that the first frame is centred near the
-    first sample, then carved into ``num_frames`` hops of ``shift`` samples.
+    The signal is padded with ``config.pad`` mirrored samples on both ends
+    so that the first frame is centred near the first sample, then carved
+    into ``num_frames`` hops of ``shift`` samples.
 
     Returns:
         Spectrogram with bins of shape (M, T, F).
@@ -166,8 +160,7 @@ def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     frames = num_frames(waveform.num_samples, config)
     total = (frames - 1) * config.shift + config.fft_size
     pad = config.pad
-    mode = "symmetric" if config.pad_mode == "symmetric-edge" else "constant"
-    padded = np.pad(waveform.samples, ((0, 0), (pad, pad)), mode=mode)
+    padded = np.pad(waveform.samples, ((0, 0), (pad, pad)), mode="symmetric")
     extra = total - padded.shape[1]
     if extra > 0:
         padded = np.pad(padded, ((0, 0), (0, extra)), mode="constant")
@@ -223,7 +216,7 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
     if den.min() <= 1e-6 * den.max():
         raise ValueError(
             f"reconstruction unsupported: window/shift pair "
-            f"({config.window}, {config.shift}/{config.fft_size}) does not cover "
+            f"(hann, {config.shift}/{config.fft_size}) does not cover "
             f"all sample positions"
         )
     if target_length < 0:

@@ -14,26 +14,26 @@ from .signal import Spectrogram
 
 __all__ = ["WpeConfig", "WpeDiagnostics", "wpe_dereverberate"]
 
+RIDGE_EPS = 1e-6  # correlation-matrix ridge, relative to its mean diagonal
+
 
 @dataclass(frozen=True)
 class WpeConfig:
     """Prediction-filter geometry and iteration control.
+
+    The power estimate is the unsmoothed per-frame channel mean, and the
+    ridge weight is :data:`RIDGE_EPS` relative.
 
     Attributes:
         taps: number of stacked history frames per channel.
         delay: frames between the predicted frame and the newest history
             frame, keeps early reflections in the output.
         iterations: alternations of power estimation and filter refit.
-        psd_smoothing_context: frames of temporal context (each side) for
-            smoothing the power estimate; 0 disables smoothing.
-        eps: relative ridge weight for the correlation matrix solve.
     """
 
     taps: int = 10
     delay: int = 2
     iterations: int = 3
-    psd_smoothing_context: int = 0
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.taps <= 0:
@@ -42,10 +42,6 @@ class WpeConfig:
             raise ValueError(f"delay must be at least 1, got {self.delay}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.psd_smoothing_context < 0:
-            raise ValueError("psd_smoothing_context must be non-negative")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass
@@ -58,27 +54,10 @@ class WpeDiagnostics:
 
     over predicted frames, evaluated after each filter update. The ridge
     weight is frozen after the first power estimate, so every update is an
-    exact coordinate-descent step and the sequence is non-increasing as
-    long as power smoothing is disabled.
+    exact coordinate-descent step and the sequence is non-increasing.
     """
 
     objective: np.ndarray
-
-
-def _smooth_power(power: np.ndarray, context: int) -> np.ndarray:
-    """Moving average over (2*context + 1) frames along the last axis.
-
-    The input is edge-padded by ``context`` frames on each side, and every
-    window sum is a difference of two running totals; one leading zero
-    column makes the first total 0.
-    """
-    if context == 0:
-        return power
-    width = 2 * context + 1
-    padded = np.pad(power, ((0, 0), (context + 1, context)), mode="edge")
-    padded[:, 0] = 0.0
-    totals = np.cumsum(padded, axis=1)
-    return (totals[:, width:] - totals[:, :-width]) / width
 
 
 def wpe_dereverberate(
@@ -148,7 +127,6 @@ def wpe_dereverberate(
         ridge = None
         for it in range(config.iterations):
             power = np.mean(np.abs(estimate) ** 2, axis=2)
-            power = _smooth_power(power, config.psd_smoothing_context)
             lam = np.maximum(power, floor[:, None])[:, first:]
 
             # Complex Gram S^H S from the real Gram of the interleaved
@@ -158,7 +136,7 @@ def wpe_dereverberate(
             gram = (g[:, 0::2, 0::2] + g[:, 1::2, 1::2]) + 1j * (g[:, 0::2, 1::2] - g[:, 1::2, 0::2])
             corr, cross = gram[:, channels:, channels:], gram[:, channels:, :channels]
             if ridge is None:
-                ridge = config.eps * np.trace(corr, axis1=1, axis2=2).real / order
+                ridge = RIDGE_EPS * np.trace(corr, axis1=1, axis2=2).real / order
             filters = np.linalg.solve(corr + ridge[:, None, None] * eye, cross)
 
             estimate[:, first:] = tail - history @ filters

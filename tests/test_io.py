@@ -1,8 +1,14 @@
 import logging
 import struct
+import tempfile
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gsskit import SAMPLE_RATE, Utterance, Waveform
 from gsskit.io import _read_riff, dump_json, load_json, read_wav, utterance_filename, write_wav
@@ -203,3 +209,48 @@ def test_write_wav_bytes_equal_scipy(tmp_path, channels):
     pcm = np.round(wave.samples * 32767.0).astype(np.int16)
     wavfile.write(tmp_path / "scipy.wav", SAMPLE_RATE, pcm.T if channels > 1 else pcm[0])
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+@given(
+    channels=st.integers(1, 4),
+    frames=st.integers(0, 40),
+    width=st.sampled_from([1, 2, 3, 4]),
+    rate=st.sampled_from([8000, 16000, 44100]),
+    data=st.data(),
+)
+def test_read_wav_reads_any_stdlib_pcm_file(channels, frames, width, rate, data):
+    payload = data.draw(st.binary(min_size=frames * channels * width,
+                                  max_size=frames * channels * width))
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "pcm.wav"
+        with wave.open(str(path), "wb") as out:
+            out.setnchannels(channels)
+            out.setsampwidth(width)
+            out.setframerate(rate)
+            out.writeframes(payload)
+        back = read_wav(path)
+    # Sample by sample: 8-bit PCM is unsigned around 128, wider PCM is
+    # signed little-endian; full scale is 2 ** (bits - 1).
+    samples = [
+        int.from_bytes(payload[i:i + width], "little", signed=width > 1) - (128 if width == 1 else 0)
+        for i in range(0, len(payload), width)
+    ]
+    expected = np.array(samples, dtype=np.float64).reshape(frames, channels).T / 2.0 ** (8 * width - 1)
+    assert back.sample_rate == rate
+    assert back.samples.shape == (channels, frames)
+    np.testing.assert_array_equal(back.samples, expected)
+
+
+@given(
+    samples=st.tuples(st.integers(1, 4), st.integers(0, 40)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+    ),
+)
+def test_write_wav_then_read_wav_gives_the_16_bit_grid(samples):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "take.wav"
+        write_wav(path, Waveform(samples, SAMPLE_RATE))
+        back = read_wav(path)
+    assert back.sample_rate == SAMPLE_RATE
+    assert back.samples.shape == samples.shape
+    np.testing.assert_array_equal(back.samples, np.round(samples * 32767.0) / 32768.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsskit import mixture
 from gsskit import (
     ActivityMask,
     DirectionalObservations,
@@ -56,10 +57,6 @@ def test_activity_validation():
 def test_em_config_validation():
     with pytest.raises(ValueError):
         EmConfig(iterations=0)
-    with pytest.raises(ValueError):
-        EmConfig(weight_floor=1.0)
-    with pytest.raises(ValueError):
-        EmConfig(eps_load=0.0)
 
 
 def test_normalize_observations_unit_norm_and_zero_handling():
@@ -187,10 +184,10 @@ def reference_quadratic_form(units, inv):
     return np.clip(quad, 1e-12, None)
 
 
-def reference_prepare(shapes, eps_load):
+def reference_prepare(shapes):
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
-    loaded = shapes + (eps_load * trace / dim)[..., None, None] * np.eye(dim)
+    loaded = shapes + (mixture.EPS_LOAD * trace / dim)[..., None, None] * np.eye(dim)
     inv = np.linalg.inv(loaded)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2).conj())
     return inv, np.linalg.slogdet(loaded)[1]
@@ -206,7 +203,7 @@ def reference_em(observations, activity, config):
     gamma = uniform
     eye = np.eye(dim, dtype=complex)
     shapes = np.broadcast_to(eye, (bins, classes, dim, dim)).copy()
-    inv, logdet = reference_prepare(shapes, config.eps_load)
+    inv, logdet = reference_prepare(shapes)
     quad = reference_quadratic_form(units, inv)
     likelihoods = np.zeros(config.iterations)
     for it in range(config.iterations):
@@ -224,10 +221,10 @@ def reference_em(observations, activity, config):
         )
         total = denom.sum(axis=-1, keepdims=True)
         weights = np.where(total > 0.0, denom / np.maximum(total, 1e-300), 1.0 / classes)
-        weights = np.maximum(weights, config.weight_floor)
+        weights = np.maximum(weights, mixture.WEIGHT_FLOOR)
         weights = weights / weights.sum(axis=-1, keepdims=True)
 
-        inv, logdet = reference_prepare(shapes, config.eps_load)
+        inv, logdet = reference_prepare(shapes)
         quad = reference_quadratic_form(units, inv)
         log_score = np.log(weights)[:, :, None] - logdet[:, :, None] - dim * np.log(quad)
         log_score = np.where(active[None], log_score, -np.inf)
@@ -316,7 +313,7 @@ def test_packed_features_reproduce_einsum_steps():
         np.testing.assert_allclose(numer, reference_m_step(scaled, units), rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(numer, np.swapaxes(numer, -1, -2).conj())
 
-        inv, _ = _prepare_shapes(numer + np.eye(dim), 1e-6)
+        inv, _ = _prepare_shapes(numer + np.eye(dim))
         quad = _quadratic_form(feats, inv, np.empty((4, 2, 30)))
         np.testing.assert_allclose(quad, reference_quadratic_form(units, inv), rtol=1e-12)
 
@@ -331,7 +328,7 @@ def test_prepare_shapes_logdet_matches_slogdet(dim):
     # A rank-one shape is positive definite only through the loading.
     shapes[0, 0] = 0.0
     shapes[0, 0, 0, 0] = 1.0
-    inv, logdet = _prepare_shapes(shapes, 1e-6)
-    ref_inv, ref_logdet = reference_prepare(shapes, 1e-6)
+    inv, logdet = _prepare_shapes(shapes)
+    ref_inv, ref_logdet = reference_prepare(shapes)
     np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(inv, ref_inv)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsskit import (
     SAMPLE_RATE,
@@ -85,6 +87,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(track="single", arrays=("U01", "U02"))
     with pytest.raises(ValueError, match="workers"):
         PipelineConfig(workers=0)
+    with pytest.raises(ValueError, match="context_seconds"):
+        PipelineConfig.from_dict(json.loads('{"context_seconds": NaN}'))
     with pytest.raises(ValueError, match="masking"):
         PipelineConfig(masking="sometimes")
 
@@ -97,12 +101,48 @@ def test_config_rejects_unknown_nested_keys(section):
         PipelineConfig.from_dict({section: 5})
 
 
-def test_config_rejects_unknown_reference_mode():
-    with pytest.raises(ValueError, match="reference_mode"):
-        PipelineConfig(reference_mode="bogus")
-    with pytest.raises(ValueError, match="reference_mode"):
-        PipelineConfig.from_dict({"reference_mode": "bogus"})
-    assert PipelineConfig(reference_mode="db").reference_mode == "db"
+# Options removed in favour of their only value in use; a document that
+# still sets one, even to that value, is told which key to drop.
+@pytest.mark.parametrize("section, key, value", [
+    ("stft", "window", "hann"),
+    ("stft", "pad_mode", "symmetric-edge"),
+    ("wpe", "psd_smoothing_context", 0),
+    ("wpe", "eps", 1e-6),
+    ("em", "eps_load", 1e-6),
+    ("em", "weight_floor", 1e-4),
+    ("config", "mask_floor", 0.0),
+    ("config", "reference_mode", "linear"),
+])
+def test_config_rejects_removed_keys(section, key, value):
+    doc = {key: value} if section == "config" else {section: {key: value}}
+    with pytest.raises(ValueError, match=rf"^unknown {section} keys: \['{key}'\]$"):
+        PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"wpe_enabled": "false"}, "config.wpe_enabled must be a boolean, got str"),
+    ({"arrays": "U01"}, "config.arrays must be a list of strings, got str"),
+    ({"arrays": ["U01", 2]}, "config.arrays must be a list of strings, got list"),
+    ({"workers": 1.5}, "config.workers must be an integer, got float"),
+    ({"workers": True}, "config.workers must be an integer, got bool"),
+    ({"em": {"iterations": "5"}}, "em.iterations must be an integer, got str"),
+    ({"wpe": {"taps": 4.0}}, "wpe.taps must be an integer, got float"),
+    ({"context_seconds": "2"}, "config.context_seconds must be a number, got str"),
+    ({"context_seconds": False}, "config.context_seconds must be a number, got bool"),
+    ({"output_dir": None}, "config.output_dir must be a string, got NoneType"),
+])
+def test_config_rejects_values_of_the_wrong_type(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PipelineConfig.from_dict(doc)
+
+
+def test_config_takes_an_integer_for_a_number():
+    config = PipelineConfig.from_dict(
+        {"context_seconds": 2, "wpe_enabled": False, "arrays": ["U01", "U02"]}
+    )
+    assert config.context_seconds == 2
+    assert config.wpe_enabled is False
+    assert config.arrays == ("U01", "U02")
 
 
 def test_stack_arrays_combines_channels():
@@ -623,10 +663,16 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         dict(good, audio={}),
         dict(good, audio=["U01.wav"]),
         no_key("annotations"),
+        dict(good, length_seconds="3.0"),
+        dict(good, length_seconds=None),
+        # An integer path would be opened as a file descriptor.
+        dict(good, annotations=0),
+        dict(good, audio={"U01": 2}),
+        dict(good, silences=1),
         good,
     ]
     report = run_batch({"sessions": sessions}, fast_config(output_dir=str(tmp_path / "out")))
-    assert report["failures"] == 7
+    assert report["failures"] == 12
     *failed, ok_a, ok_b = report["utterances"]
     expected = [
         (None, "manifest entry 0: expected an object, got str"),
@@ -636,9 +682,106 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         (scene.session_id, "manifest entry 4: 'audio' must be a non-empty object"),
         (scene.session_id, "manifest entry 5: 'audio' must be a non-empty object"),
         (scene.session_id, "manifest entry 6: 'annotations' is missing"),
+        (scene.session_id, "manifest entry 7: 'length_seconds' must be a number"),
+        (scene.session_id, "manifest entry 8: 'length_seconds' must be a number"),
+        (scene.session_id, "manifest entry 9: 'annotations' must be the path of a JSON file"),
+        (scene.session_id, "manifest entry 10: 'audio' must be a non-empty object"),
+        (scene.session_id, "manifest entry 11: 'silences' must be an object or the path"),
     ]
     for row, (session_id, message) in zip(failed, expected):
         assert row["status"] == "failed"
         assert row["session_id"] == session_id
         assert row["error"].startswith(message)
     assert ok_a["status"] == ok_b["status"] == "ok"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ([{"session_id": "S01"}], "manifest must be an object, got list"),
+    ({"session": []}, r"manifest has no 'sessions' list, only keys \['session'\]"),
+    ({"sessions": {"S01": {}}}, "manifest 'sessions' must be a list, got dict"),
+])
+def test_run_batch_rejects_a_manifest_without_a_sessions_list(tmp_path, manifest, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
+    # The CLI does not report a misspelt manifest as zero of zero enhanced.
+    dump_json(manifest, tmp_path / "manifest.json")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli_main(["enhance", "--manifest", str(tmp_path / "manifest.json"),
+                  "--output-dir", str(tmp_path / "cli")])
+
+
+@pytest.fixture(scope="module")
+def tiny_session(tmp_path_factory):
+    """A one-second two-speaker session on disk, its good manifest entry
+    and a config that enhances it in milliseconds."""
+    root = tmp_path_factory.mktemp("tiny")
+    scene = simulate_scene({
+        "session_id": "P1",
+        "duration": 1.0,
+        "channels": 2,
+        "sources": [
+            {"speaker": "A", "kind": "noise", "band": [300, 2200], "activity": [[0.1, 0.6]]},
+            {"speaker": "B", "kind": "noise", "band": [900, 3600], "activity": [[0.4, 0.9]]},
+        ],
+        "mixing": {"kind": "delay", "max_delay": 3},
+        "snr_db": 25,
+    }, seed=1)
+    entry = write_session(root, scene)["sessions"][0]
+    from gsskit import EmConfig, StftConfig
+
+    config = PipelineConfig(
+        stft=StftConfig(fft_size=256, shift=64), wpe_enabled=False,
+        em=EmConfig(iterations=2), context_seconds=0.0, output_dir=str(root / "out"),
+    )
+    return root, entry, config
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-10, 10), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def manifest_entries(draw, root, good):
+    """The good manifest entry with up to three keys dropped, set to a near
+    miss or set to junk of any JSON type; now and then junk instead of an
+    entry."""
+    near = {
+        "session_id": ["P2", "", "..", "a/b"],
+        "audio": [{}, {"U01": str(root / "absent.wav")}, {"U02": good["audio"]["U01"]}],
+        "annotations": [str(root / "absent.json")],
+        "length_seconds": [0.5, 3.0],
+        "annotation_format": ["chime5", "kaldi"],
+        "silences": [{"A": [[0.2, 0.3]]}, {"Z": [[0.2, 0.3]]}, str(root / "absent.json")],
+    }
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    entry = dict(good)
+    for key in draw(st.sets(st.sampled_from(sorted(near)), max_size=3)):
+        change = draw(st.sampled_from(["drop", "near", "junk"]))
+        if change == "drop":
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(st.sampled_from(near[key]) if change == "near" else JUNK)
+    return entry
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_run_batch_turns_each_manifest_entry_into_one_failed_row_or_a_session(
+    tiny_session, data
+):
+    root, good, config = tiny_session
+    entry = data.draw(manifest_entries(root, good))
+    report = run_batch({"sessions": [entry]}, config)
+    rows = report["utterances"]
+    session_id = entry.get("session_id") if isinstance(entry, dict) else None
+    assert rows and all(row["session_id"] == session_id for row in rows)
+    if "speaker_id" in rows[0]:  # the session loaded: one row per utterance
+        assert all("speaker_id" in row for row in rows)
+        assert report["failures"] == sum(row["status"] == "failed" for row in rows)
+    else:
+        assert len(rows) == 1 and rows[0]["status"] == "failed" and rows[0]["error"]
+        assert report["failures"] == 1

@@ -1,0 +1,42 @@
+"""The README's JSON examples, read by the code that reads such files."""
+
+import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
+from gsskit import EmConfig, PipelineConfig, StftConfig, WpeConfig, simulate_scene
+from gsskit.pipeline import _check_entry
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(key):
+    """The one ```json block of the README whose top level has ``key``."""
+    text = README.read_text(encoding="utf-8")
+    blocks = [json.loads(body) for body in re.findall(r"```json\n(.*?)```", text, re.S)]
+    (block,) = [b for b in blocks if key in b]
+    return block
+
+
+def test_readme_config_loads_and_sets_every_key():
+    doc = readme_block("track")
+    config = PipelineConfig.from_dict(doc)
+    assert config.workers == doc["workers"]
+    assert set(doc) == {f.name for f in fields(PipelineConfig)}
+    for section, cls in (("stft", StftConfig), ("wpe", WpeConfig), ("em", EmConfig)):
+        assert set(doc[section]) == {f.name for f in fields(cls)}
+
+
+def test_readme_scene_simulates():
+    spec = readme_block("sources")
+    scene = simulate_scene(spec, seed=7)
+    assert scene.session_id == spec["session_id"]
+    assert scene.mixture.num_channels == spec["channels"]
+
+
+def test_readme_manifest_entries_pass_the_entry_check():
+    manifest = readme_block("sessions")
+    assert isinstance(manifest["sessions"], list) and manifest["sessions"]
+    for index, entry in enumerate(manifest["sessions"]):
+        _check_entry(index, entry)

@@ -32,8 +32,6 @@ def test_config_defaults():
         dict(shift=0),
         dict(shift=-1),
         dict(fft_size=64, shift=65),
-        dict(window="hamming"),
-        dict(pad_mode="reflect"),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -101,16 +99,28 @@ def test_stft_of_zeros_is_zero():
     assert np.all(spec.bins == 0)
 
 
-@pytest.mark.parametrize("pad_mode", ["symmetric-edge", "zero"])
 @pytest.mark.parametrize(
     "length", [3, 17, 255, 256, 257, 1000, 1023, 1024, 1025, 4096, 5000]
 )
-def test_round_trip_exact(pad_mode, length):
+def test_round_trip_exact(length):
     rng = np.random.default_rng(length)
-    config = StftConfig(pad_mode=pad_mode)
+    config = StftConfig()
     wave = Waveform(rng.standard_normal((2, length)), 16000)
     back = istft(stft(wave, config), length)
     np.testing.assert_allclose(back.samples, wave.samples, rtol=0, atol=1e-10)
+
+
+def test_stft_mirrors_the_signal_edges():
+    # The round trip is exact under any padding, so the padding itself is
+    # pinned here: the first frame sees `pad` mirrored samples, then the
+    # head of the signal, under the periodic Hann window.
+    rng = np.random.default_rng(4)
+    config = StftConfig(fft_size=64, shift=16)
+    wave = Waveform(rng.standard_normal((2, 40)), 16000)
+    padded = np.pad(wave.samples, ((0, 0), (config.pad, config.pad)), mode="symmetric")
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(config.fft_size) / config.fft_size)
+    first = np.fft.rfft(padded[:, : config.fft_size] * window, axis=-1)
+    np.testing.assert_allclose(stft(wave, config).bins[:, 0], first, rtol=0, atol=1e-12)
 
 
 def test_round_trip_exact_small_config():

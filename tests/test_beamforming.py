@@ -225,6 +225,15 @@ def test_select_reference_matches_brute_force():
         assert select_reference(psds) == reference_selection_oracle(psds)
 
 
+def test_select_reference_rejects_unknown_mode():
+    # The linear score is the only one; a caller still choosing a mode
+    # fails by name.
+    rng = np.random.default_rng(7)
+    psds = random_psd_set(rng, 2, 3)
+    with pytest.raises(TypeError, match="mode"):
+        select_reference(psds, mode="db")
+
+
 def test_ban_gain_on_isotropic_noise():
     # With distortion sigma^2 I and unit-norm w the gain collapses to
     # 1 / sqrt(D) regardless of sigma.
@@ -295,7 +304,7 @@ def test_apply_target_mask():
     np.testing.assert_array_equal(out.bins[0], bins[0] * post.gamma[1])
 
 
-def test_apply_target_mask_rejects_multichannel():
+def test_apply_target_mask_rejects_multichannel_and_bad_floor():
     rng = np.random.default_rng(13)
     multi = make_spec(
         rng.standard_normal((2, 6, 4)) + 1j * rng.standard_normal((2, 6, 4))
@@ -303,3 +312,9 @@ def test_apply_target_mask_rejects_multichannel():
     post = random_posterior(rng, 2, 6, 4)
     with pytest.raises(ValueError, match="single-channel"):
         apply_target_mask(multi, post, 1)
+    # The mask has no floor any more: passing one fails by name.
+    mono = make_spec(
+        rng.standard_normal((1, 6, 4)) + 1j * rng.standard_normal((1, 6, 4))
+    )
+    with pytest.raises(TypeError, match="floor"):
+        apply_target_mask(mono, post, 1, floor=0.2)

@@ -101,6 +101,14 @@ def test_config_rejects_unknown_nested_keys(section):
         PipelineConfig.from_dict({section: 5})
 
 
+def test_config_rejects_unknown_reference_mode():
+    # Reference selection always uses the linear score.
+    with pytest.raises(TypeError, match="reference_mode"):
+        PipelineConfig(reference_mode="db")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['reference_mode'\]"):
+        PipelineConfig.from_dict({"reference_mode": "db"})
+
+
 # Options removed in favour of their only value in use; a document that
 # still sets one, even to that value, is told which key to drop.
 @pytest.mark.parametrize("section, key, value", [

@@ -32,6 +32,8 @@ def test_config_defaults():
         dict(shift=0),
         dict(shift=-1),
         dict(fft_size=64, shift=65),
+        dict(fft_size=1, shift=1),
+        dict(shift=1025),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -100,7 +102,9 @@ def test_stft_of_zeros_is_zero():
 
 
 @pytest.mark.parametrize(
-    "length", [3, 17, 255, 256, 257, 1000, 1023, 1024, 1025, 4096, 5000]
+    "length",
+    [3, 17, 255, 256, 257, 1000, 1023, 1024, 1025, 4096, 5000],
+    ids=lambda length: f"{length}-symmetric-edge",
 )
 def test_round_trip_exact(length):
     rng = np.random.default_rng(length)

@@ -36,6 +36,8 @@ def lagged_projection_energy(residual, dry, lag, first):
         dict(taps=0),
         dict(delay=0),
         dict(iterations=0),
+        dict(taps=-1),
+        dict(delay=-1),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -165,13 +167,16 @@ def reference_wpe(bins_in, config):
     return output, objective
 
 
+@pytest.mark.parametrize("silent", [0, 40])
 @pytest.mark.parametrize("channels", [2, 4, 8])
 @pytest.mark.parametrize("amp", [0.0, 0.4], ids=["white", "echo"])
-def test_wpe_matches_reference_loop(amp, channels):
+def test_wpe_matches_reference_loop(amp, channels, silent):
     # 400 frames, 129 bins and taps=6 make 3 to 12 bin blocks, one of them
-    # holding an all-zero bin.
+    # holding an all-zero bin. `silent` leading all-zero frames put the
+    # power estimate on its floor.
     _, obs = echo_scene(amp, channels, 400, 129, seed=channels, lag=4)
     obs[:, :, 50] = 0.0
+    obs[:, :silent] = 0.0
     config = WpeConfig(taps=6, delay=2, iterations=3)
     block = 2 ** 18 // (400 * (config.taps + 1) * channels)
     assert 129 > 2 * block

@@ -85,7 +85,11 @@ def _masked_covariance(obs: np.ndarray, mask: np.ndarray):
         )
     safe = np.where(fallback, obs.shape[1], weight)
     effective = np.where(fallback[:, None], 1.0, mask)
-    psd = np.einsum("ft,ftd,fte->fde", effective, obs, obs.conj(), optimize=True)
+    # sum_t m y y^H as obs^T @ conj(m * obs): the one weighted copy is
+    # conjugated in place instead of conjugating the observations too.
+    weighted = effective[:, :, None] * obs
+    np.conjugate(weighted, out=weighted)
+    psd = obs.transpose(0, 2, 1) @ weighted
     psd = psd / safe[:, None, None]
     psd = 0.5 * (psd + np.swapaxes(psd, -1, -2).conj())
     return psd, fallback

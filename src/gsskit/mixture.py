@@ -8,6 +8,7 @@ every EM iteration, which resolves the class/speaker permutation per bin
 by construction.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -145,17 +146,33 @@ def _prepare_shapes(shapes: np.ndarray):
     """Loaded inverse and log-determinant of a stack of shape matrices.
 
     Returns (inverse, logdet) for shapes + EPS_LOAD * (trace / D) * I, the
-    form used consistently for every density evaluation. The loaded matrix
-    is Hermitian positive definite, so its log-determinant is twice the
-    summed log of its Cholesky diagonal.
+    form used consistently for every density evaluation. Both come from
+    one Cholesky factor L of the loaded matrix, which is Hermitian
+    positive definite: the log-determinant is twice the summed log of
+    diag(L), and the inverse is W^H W for W = L^-1. W is found by forward
+    substitution a row at a time over the whole stack, in a (D, D, N)
+    layout where every step reads contiguous rows of N entries.
     """
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
     loaded = shapes + (EPS_LOAD * trace / dim)[..., None, None] * np.eye(dim)
-    inv = np.linalg.inv(loaded)
-    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2).conj())
-    chol_diag = np.diagonal(np.linalg.cholesky(loaded), axis1=-2, axis2=-1).real
+    chol = np.linalg.cholesky(loaded)
+    chol_diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    lower = np.ascontiguousarray(np.moveaxis(chol.reshape(-1, dim, dim), 0, -1))
+    lower_inv = np.zeros_like(lower)
+    for i in range(dim):
+        lower_inv[i, i] = 1.0 / lower[i, i].real
+        lower_inv[i, :i] = -np.sum(lower[i, :i, None] * lower_inv[:i, :i], axis=0) * lower_inv[i, i]
+    lower_inv = np.moveaxis(lower_inv, -1, 0).reshape(chol.shape)
+    inv = np.swapaxes(lower_inv, -1, -2).conj() @ lower_inv
     return inv, 2.0 * np.log(chol_diag).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(dim: int):
+    """Row and column indices of the D(D-1)/2 pairs d < e, in
+    ``np.triu_indices`` order; shared, so callers must not write to them."""
+    return np.triu_indices(dim, 1)
 
 
 def _pack_outer_products(units: np.ndarray) -> np.ndarray:
@@ -171,7 +188,7 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
         same pairs.
     """
     bins, frames, dim = units.shape
-    rows, cols = np.triu_indices(dim, 1)
+    rows, cols = _upper_pairs(dim)
     pairs = len(rows)
     chans = units.transpose(0, 2, 1)
     feats = np.empty((bins, dim * dim, frames))
@@ -186,7 +203,7 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
 def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
     """(..., D*D) real packing, as built by :func:`_pack_outer_products`,
     back to (..., D, D) Hermitian matrices."""
-    rows, cols = np.triu_indices(dim, 1)
+    rows, cols = _upper_pairs(dim)
     pairs = len(rows)
     diag = np.arange(dim)
     upper = packed[..., dim:dim + pairs] + 1j * packed[..., dim + pairs:]
@@ -214,7 +231,7 @@ def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.n
         ``out``, clipped away from zero.
     """
     dim = inv.shape[-1]
-    rows, cols = np.triu_indices(dim, 1)
+    rows, cols = _upper_pairs(dim)
     pairs = len(rows)
     upper = inv[..., rows, cols]
     coeffs = np.empty(inv.shape[:-2] + (dim * dim,))
@@ -244,9 +261,13 @@ def _em_block(units, valid, active, config):
       (F, D*D, T), where ``coeffs`` holds diag(B^-1), 2 Re B^-1_de and
       2 Im B^-1_de for d < e (see :func:`_quadratic_form`).
 
-    Block size: :func:`em_fit` passes F = 2**20 // (K * T * D) bins at a
-    time (at least one), so ``feats`` takes about 8 * 2**20 * D / K bytes,
-    8 MB when D = K, and each (F, K, T) array about 8 * 2**20 / D bytes.
+    Block size: :func:`em_fit` passes F = 2**19 // (K * T * D) bins at a
+    time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
+    4 MB when D = K, and each of the two (F, K, T) buffers, which every
+    iteration reuses, about 8 * 2**19 / D bytes, 1 MB when D = 4. Smaller
+    blocks save little more memory but cost time when utterances run in
+    parallel threads: every block adds the same few dozen numpy calls per
+    iteration, and the threads queue for the interpreter lock between them.
 
     Args:
         units: (F, T, D) unit observations.
@@ -274,7 +295,10 @@ def _em_block(units, valid, active, config):
     inactive = ~active[None, :, :]
     invalid = ~valid[:, None, :]
 
+    # ``score`` holds the M-step weights gamma / q and then the E-step
+    # log scores, which become the next posterior.
     quad = np.empty((bins, classes, frames))
+    score = np.empty_like(quad)
     inv, logdet = _prepare_shapes(shapes)
     _quadratic_form(feats, inv, quad)
     likelihoods = np.zeros(config.iterations)
@@ -282,7 +306,7 @@ def _em_block(units, valid, active, config):
     for it in range(config.iterations):
         # M-step: re-estimate weights and shape matrices from the current
         # posteriors; invalid frames carry no weight.
-        scaled = gamma * valid[:, None, :]
+        scaled = np.multiply(gamma, valid[:, None, :], out=score)
         denom = scaled.sum(axis=-1)
         scaled /= quad
         update = dim * (scaled @ feats_t) / np.maximum(denom, 1e-300)[:, :, None]
@@ -303,7 +327,7 @@ def _em_block(units, valid, active, config):
         # normaliser is at least exp(0) = 1.
         inv, logdet = _prepare_shapes(shapes)
         _quadratic_form(feats, inv, quad)
-        log_score = np.log(quad)
+        log_score = np.log(quad, out=score)
         log_score *= -dim
         log_score += (np.log(weights) - logdet)[:, :, None]
         np.copyto(log_score, -np.inf, where=inactive)
@@ -364,7 +388,7 @@ def em_fit(
     gamma = np.empty((bins, classes, frames))
     likelihoods = np.zeros(config.iterations)
 
-    block = max(1, 2 ** 20 // max(1, classes * frames * dim))
+    block = max(1, 2 ** 19 // max(1, classes * frames * dim))
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
         weights[lo:hi], shapes[lo:hi], gamma[lo:hi], block_ll = _em_block(

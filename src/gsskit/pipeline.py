@@ -11,7 +11,7 @@ posterior when masking is on, and resynthesises exactly the core duration.
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,28 +242,32 @@ def enhance_utterance(
             )
 
     observations = normalize_observations(spectrogram)
-    mask = activity_to_frames(activity, extended, config.stft)
-    target_class = activity.class_of(utterance.speaker_id)
-
-    _, posterior, likelihoods = em_fit(observations, mask, config.em, return_likelihoods=True)
     core = extended.core_frame_range(config.stft)
-    posterior_core = trim_context(posterior, core)
-
-    core_spec = spectrogram.take_frames(core)
-    psds = estimate_psds(core_spec, posterior_core, target_class)
-    reference = select_reference(psds)
-    weights = ban_postfilter(mvdr_souden(psds, reference), psds)
-
     # Statistics come from core frames only, but synthesis needs guard
     # frames on both sides: without them the overlap-add window sum tapers
     # off inside the requested sample range and edge samples are produced
-    # from a lone window tail.
+    # from a lone window tail. Only these frames of the spectrogram are
+    # read from here on, so a compact copy of them replaces it, and the
+    # observations go as soon as the mixture is fitted.
     guard = -(-config.stft.fft_size // config.stft.shift)
     synth = range(
         max(0, core.start - guard),
         min(spectrogram.num_frames, core.stop + guard),
     )
-    estimate = apply_beamformer(spectrogram.take_frames(synth), weights)
+    synth_spec = replace(spectrogram, bins=spectrogram.bins[:, synth.start:synth.stop].copy())
+    del spectrogram
+
+    mask = activity_to_frames(activity, extended, config.stft)
+    target_class = activity.class_of(utterance.speaker_id)
+    _, posterior, likelihoods = em_fit(observations, mask, config.em, return_likelihoods=True)
+    del observations
+    posterior_core = trim_context(posterior, core)
+
+    core_spec = synth_spec.take_frames(range(core.start - synth.start, core.stop - synth.start))
+    psds = estimate_psds(core_spec, posterior_core, target_class)
+    reference = select_reference(psds)
+    weights = ban_postfilter(mvdr_souden(psds, reference), psds)
+    estimate = apply_beamformer(synth_spec, weights)
 
     masking_applied = False
     if config.masking_enabled:
@@ -399,7 +403,10 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
             out, details = enhance_utterance(
                 utterance, audio, activity, config, return_details=True
             )
-            return out, details, time.perf_counter() - begin
+            # Keep only the reference channel: the posteriors in the
+            # details would stay alive until every utterance of the
+            # session is done.
+            return out, details.reference_channel, time.perf_counter() - begin
 
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(job, u) for u in utterances]
@@ -412,13 +419,13 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
                 "end_time": format_time(utterance.end_samples),
             }
             try:
-                out, details, elapsed = future.result()
+                out, reference, elapsed = future.result()
                 path = Path(config.output_dir) / session_id / utterance_filename(utterance)
                 write_wav(path, out)
                 row.update(
                     status="ok",
                     path=str(path),
-                    reference_channel=details.reference_channel,
+                    reference_channel=reference,
                     elapsed_seconds=round(elapsed, 3),
                 )
             except Exception as err:  # noqa: BLE001 - report and continue

@@ -167,12 +167,13 @@ def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
 
     window = _analysis_window(config)
     strided = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size, axis=1)
-    segments = strided[:, :: config.shift][:, :frames] * window
-    return Spectrogram(
-        np.fft.rfft(segments, n=config.fft_size, axis=-1),
-        config,
-        waveform.sample_rate,
-    )
+    framed = strided[:, :: config.shift][:, :frames]
+    # One channel at a time, so that windowed frames and transform output
+    # exist for one channel only next to the result.
+    bins = np.empty((waveform.num_channels, frames, config.num_bins), dtype=np.complex128)
+    for channel in range(waveform.num_channels):
+        bins[channel] = np.fft.rfft(framed[channel] * window, n=config.fft_size, axis=-1)
+    return Spectrogram(bins, config, waveform.sample_rate)
 
 
 def _overlap_denominator(window: np.ndarray, shift: int) -> np.ndarray:

@@ -77,8 +77,9 @@ def wpe_dereverberate(
     scales it by 1 / sqrt(lambda) and takes a single real Gram of its
     float64 view; that one product holds both the correlation of the
     history columns and their cross-correlation with the frame. A block
-    has 2**18 // (T * (taps + 1) * M) bins (at least one), which keeps
-    the stacked tensor below 4 MB unless a single bin is larger.
+    has 2**16 // (T * (taps + 1) * M) bins (at least one), which keeps
+    the stacked tensor and its scaled real copy below 1 MB each unless a
+    single bin is larger.
 
     Args:
         spectrogram: (M, T, F) input.
@@ -103,7 +104,7 @@ def wpe_dereverberate(
     objective = np.zeros(config.iterations)
     eye = np.eye(order)
 
-    block = max(1, 2 ** 18 // (frames * width))
+    block = max(1, 2 ** 16 // (frames * width))
     stacked_buf = np.empty((block, frames - first, width), dtype=np.complex128)
     scaled_buf = np.empty((block, frames - first, 2 * width))
     for lo in range(0, bins, block):

@@ -331,4 +331,7 @@ def test_prepare_shapes_logdet_matches_slogdet(dim):
     inv, logdet = _prepare_shapes(shapes)
     ref_inv, ref_logdet = reference_prepare(shapes)
     np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(inv, ref_inv)
+    # The inverse comes from the Cholesky factor, not from an LU solve, so
+    # it agrees with np.linalg.inv to rounding of each matrix's largest entry.
+    scale = np.abs(ref_inv).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(inv - ref_inv) <= 1e-13 * scale)

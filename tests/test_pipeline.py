@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import warnings
 from dataclasses import replace
 
@@ -708,14 +709,35 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
     ({"session": []}, r"manifest has no 'sessions' list, only keys \['session'\]"),
     ({"sessions": {"S01": {}}}, "manifest 'sessions' must be a list, got dict"),
 ])
-def test_run_batch_rejects_a_manifest_without_a_sessions_list(tmp_path, manifest, message):
+def test_run_batch_rejects_a_manifest_without_a_sessions_list(
+    tmp_path, capsys, manifest, message
+):
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
-    # The CLI does not report a misspelt manifest as zero of zero enhanced.
+    # The CLI does not report a misspelt manifest as zero of zero enhanced,
+    # nor as a batch with failures (status 1).
     dump_json(manifest, tmp_path / "manifest.json")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        cli_main(["enhance", "--manifest", str(tmp_path / "manifest.json"),
-                  "--output-dir", str(tmp_path / "cli")])
+    code = cli_main(["enhance", "--manifest", str(tmp_path / "manifest.json"),
+                     "--output-dir", str(tmp_path / "cli")])
+    assert code == 2
+    assert re.fullmatch(f"gsskit: error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"workers": 1.5}, "config.workers must be an integer, got float"),
+    ({"em": {"iterations": 0}}, "iterations must be at least 1, got 0"),
+])
+def test_cli_rejects_a_malformed_config_with_status_2(tiny_session, tmp_path, capsys,
+                                                      config, message):
+    _, entry, _ = tiny_session
+    dump_json(config, tmp_path / "config.json")
+    dump_json({"sessions": [entry]}, tmp_path / "manifest.json")
+    code = cli_main(["enhance", "--config", str(tmp_path / "config.json"),
+                     "--manifest", str(tmp_path / "manifest.json"),
+                     "--output-dir", str(tmp_path / "cli")])
+    assert code == 2
+    assert capsys.readouterr().err == f"gsskit: error: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -793,3 +815,136 @@ def test_run_batch_turns_each_manifest_entry_into_one_failed_row_or_a_session(
     else:
         assert len(rows) == 1 and rows[0]["status"] == "failed" and rows[0]["error"]
         assert report["failures"] == 1
+
+
+# Working set of one utterance. The README scene (6 s, 4 channels, the
+# default config) has a 12.4 MB spectrogram (M * T * F * 16 bytes); the
+# batch-shaped case is the first utterance of the benchmark's batch scene
+# (three speakers, WPE off, 2 s context), whose segment is 4.2 s long.
+README_SCENE = {
+    "session_id": "S01",
+    "duration": 6.0,
+    "channels": 4,
+    "sources": [
+        {"speaker": "A", "kind": "noise", "band": [300, 2500], "activity": [[0.5, 3.0]]},
+        {"speaker": "B", "kind": "chirp", "band": [800, 3800], "activity": [[2.0, 5.5]]},
+    ],
+    "mixing": {"kind": "delay", "max_delay": 6},
+    "snr_db": 25,
+}
+BATCH_SCENE = {
+    "session_id": "B01",
+    "duration": 9.0,
+    "channels": 4,
+    "sources": [
+        {"speaker": "A", "kind": "noise", "band": [300, 2500],
+         "activity": [[0.2, 2.2], [4.1, 6.1]]},
+        {"speaker": "B", "kind": "chirp", "sweep": [200, 3500],
+         "activity": [[1.5, 3.5], [5.4, 7.4]]},
+        {"speaker": "C", "kind": "noise", "band": [1000, 3800],
+         "activity": [[2.8, 4.8], [6.7, 8.7]]},
+    ],
+    "mixing": {"kind": "delay", "max_delay": 6},
+    "snr_db": 25,
+}
+
+
+@pytest.mark.parametrize("spec, seed, config, limit_mb", [
+    (README_SCENE, 7, PipelineConfig(), 35.0),
+    (BATCH_SCENE, 0, PipelineConfig(wpe_enabled=False, context_seconds=2.0), 27.0),
+], ids=["readme", "batch"])
+def test_enhance_utterance_peak_memory(spec, seed, config, limit_mb):
+    import tracemalloc
+
+    scene = simulate_scene(spec, seed=seed)
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, spec["duration"])
+    args = (utterances[0], scene.mixture, activity, config)
+    enhance_utterance(*args)  # first call: lazy numpy and FFT set-up
+    tracemalloc.start()
+    try:
+        enhance_utterance(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_run_batch_keeps_no_utterance_tensors_until_the_session_ends(tmp_path):
+    import tracemalloc
+
+    from gsskit import EmConfig
+
+    scene = simulate_scene(BATCH_SCENE, seed=0)
+    manifest = write_session(tmp_path, scene)
+    config = PipelineConfig(wpe_enabled=False, context_seconds=2.0, em=EmConfig(iterations=2),
+                            output_dir=str(tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        report = run_batch(manifest, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["failures"] == 0 and len(report["utterances"]) == 6
+    # One utterance at a time: about 30 MB. Holding the posteriors of the
+    # finished utterances until the session ends took 78 MB.
+    assert peak < 45e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def reference_stft(waveform, config):
+    """All channels through one batched rfft of the windowed frames."""
+    from gsskit.signal import Spectrogram, _analysis_window, num_frames
+
+    frames = num_frames(waveform.num_samples, config)
+    total = (frames - 1) * config.shift + config.fft_size
+    padded = np.pad(waveform.samples, ((0, 0), (config.pad, config.pad)), mode="symmetric")
+    padded = np.pad(padded, ((0, 0), (0, max(0, total - padded.shape[1]))))
+    strided = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size, axis=1)
+    segments = strided[:, :: config.shift][:, :frames] * _analysis_window(config)
+    return Spectrogram(np.fft.rfft(segments, n=config.fft_size, axis=-1), config,
+                       waveform.sample_rate)
+
+
+@pytest.mark.parametrize("channels, length", [(1, 700), (4, 16000), (6, 333)])
+def test_stft_matches_batched_reference_bit_for_bit(channels, length):
+    from gsskit import StftConfig, stft
+
+    rng = np.random.default_rng(channels * length)
+    wave = Waveform(rng.standard_normal((channels, length)), SAMPLE_RATE)
+    for config in (StftConfig(), StftConfig(fft_size=512, shift=128)):
+        np.testing.assert_array_equal(stft(wave, config).bins, reference_stft(wave, config).bins)
+
+
+def reference_masked_covariance(obs, mask):
+    """sum_t m y y^H / sum_t m as one einsum against conj(obs)."""
+    weight = mask.sum(axis=-1)
+    fallback = weight <= 0.0
+    safe = np.where(fallback, obs.shape[1], weight)
+    effective = np.where(fallback[:, None], 1.0, mask)
+    psd = np.einsum("ft,ftd,fte->fde", effective, obs, obs.conj(), optimize=True)
+    psd = psd / safe[:, None, None]
+    return 0.5 * (psd + np.swapaxes(psd, -1, -2).conj()), fallback
+
+
+@pytest.mark.parametrize("channels, frames, bins", [
+    (4, 200, 257), (8, 30, 9), (2, 30, 9), (6, 17, 33),
+])
+def test_masked_covariance_matches_einsum_reference(channels, frames, bins):
+    from gsskit.beamforming import _masked_covariance
+
+    rng = np.random.default_rng(channels * frames)
+    # (F, T, D) as estimate_psds passes it: a transposed (M, T, F) view.
+    spec = rng.standard_normal((channels, frames, bins)) + 1j * rng.standard_normal(
+        (channels, frames, bins))
+    obs = spec.transpose(2, 1, 0)
+    mask = rng.random((bins, frames))
+    mask[0] = 0.0  # a fallback bin
+    psd, fallback = _masked_covariance(obs, mask)
+    ref_psd, ref_fallback = reference_masked_covariance(obs, mask)
+    np.testing.assert_array_equal(fallback, ref_fallback)
+    if channels % 4 == 0:
+        np.testing.assert_array_equal(psd, ref_psd)
+    else:
+        # The einsum sums in another order when D is not a multiple of 4.
+        scale = np.abs(ref_psd).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(psd - ref_psd) <= 1e-15 * scale)

@@ -149,21 +149,17 @@ def _prepare_shapes(shapes: np.ndarray):
     form used consistently for every density evaluation. Both come from
     one Cholesky factor L of the loaded matrix, which is Hermitian
     positive definite: the log-determinant is twice the summed log of
-    diag(L), and the inverse is W^H W for W = L^-1. W is found by forward
-    substitution a row at a time over the whole stack, in a (D, D, N)
-    layout where every step reads contiguous rows of N entries.
+    diag(L), and the inverse is W^H W for W = L^-1. Every step is one
+    numpy call over the whole stack, whatever D is: each call is a point
+    where a parallel thread can take the interpreter lock (see
+    :func:`_em_block`).
     """
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
     loaded = shapes + (EPS_LOAD * trace / dim)[..., None, None] * np.eye(dim)
     chol = np.linalg.cholesky(loaded)
     chol_diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    lower = np.ascontiguousarray(np.moveaxis(chol.reshape(-1, dim, dim), 0, -1))
-    lower_inv = np.zeros_like(lower)
-    for i in range(dim):
-        lower_inv[i, i] = 1.0 / lower[i, i].real
-        lower_inv[i, :i] = -np.sum(lower[i, :i, None] * lower_inv[:i, :i], axis=0) * lower_inv[i, i]
-    lower_inv = np.moveaxis(lower_inv, -1, 0).reshape(chol.shape)
+    lower_inv = np.linalg.inv(chol)
     inv = np.swapaxes(lower_inv, -1, -2).conj() @ lower_inv
     return inv, 2.0 * np.log(chol_diag).sum(axis=-1)
 
@@ -192,7 +188,10 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
     pairs = len(rows)
     chans = units.transpose(0, 2, 1)
     feats = np.empty((bins, dim * dim, frames))
-    feats[:, :dim] = chans.real ** 2 + chans.imag ** 2
+    # Channel by channel, so that no temporary is larger than (F, T).
+    for d in range(dim):
+        np.square(chans[:, d].real, out=feats[:, d])
+        feats[:, d] += chans[:, d].imag ** 2
     for p, (d, e) in enumerate(zip(rows, cols)):
         cross = chans[:, d] * chans[:, e].conj()
         feats[:, dim + p] = cross.real
@@ -200,18 +199,40 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
     return feats
 
 
-def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
-    """(..., D*D) real packing, as built by :func:`_pack_outer_products`,
-    back to (..., D, D) Hermitian matrices."""
+@functools.lru_cache(maxsize=None)
+def _packing_maps(dim: int):
+    """Real matrices between the packing of :func:`_pack_outer_products`
+    and the float64 view (Re, Im interleaved) of flattened (D, D) complex
+    matrices; shared, so callers must not write to them.
+
+    Returns:
+        (unpack (D*D, 2*D*D), coeffs (2*D*D, D*D)). ``packed @ unpack`` is
+        the Hermitian matrix of a packing; ``view @ coeffs`` packs diag(B),
+        2 Re B_de and 2 Im B_de for d < e. Every output is one input
+        times 1, -1 or 2, so both products are exact.
+    """
     rows, cols = _upper_pairs(dim)
     pairs = len(rows)
     diag = np.arange(dim)
-    upper = packed[..., dim:dim + pairs] + 1j * packed[..., dim + pairs:]
-    out = np.empty(packed.shape[:-1] + (dim, dim), dtype=np.complex128)
-    out[..., diag, diag] = packed[..., :dim]
-    out[..., rows, cols] = upper
-    out[..., cols, rows] = upper.conj()
-    return out
+    upper = dim + np.arange(pairs)
+    unpack = np.zeros((dim * dim, dim, dim, 2))
+    unpack[diag, diag, diag, 0] = 1.0
+    unpack[upper, rows, cols, 0] = 1.0
+    unpack[upper, cols, rows, 0] = 1.0
+    unpack[upper + pairs, rows, cols, 1] = 1.0
+    unpack[upper + pairs, cols, rows, 1] = -1.0
+    coeffs = np.zeros((dim, dim, 2, dim * dim))
+    coeffs[diag, diag, 0, diag] = 1.0
+    coeffs[rows, cols, 0, upper] = 2.0
+    coeffs[rows, cols, 1, upper + pairs] = 2.0
+    return unpack.reshape(dim * dim, -1), coeffs.reshape(-1, dim * dim)
+
+
+def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
+    """(..., D*D) real packing, as built by :func:`_pack_outer_products`,
+    back to (..., D, D) Hermitian matrices."""
+    flat = packed.reshape(-1, dim * dim) @ _packing_maps(dim)[0]
+    return flat.view(np.complex128).reshape(packed.shape[:-1] + (dim, dim))
 
 
 def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -231,23 +252,19 @@ def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.n
         ``out``, clipped away from zero.
     """
     dim = inv.shape[-1]
-    rows, cols = _upper_pairs(dim)
-    pairs = len(rows)
-    upper = inv[..., rows, cols]
-    coeffs = np.empty(inv.shape[:-2] + (dim * dim,))
-    coeffs[..., :dim] = np.diagonal(inv, axis1=-2, axis2=-1).real
-    coeffs[..., dim:dim + pairs] = 2.0 * upper.real
-    coeffs[..., dim + pairs:] = 2.0 * upper.imag
+    flat = np.ascontiguousarray(inv).reshape(-1, dim * dim).view(np.float64)
+    coeffs = (flat @ _packing_maps(dim)[1]).reshape(inv.shape[:-2] + (dim * dim,))
     np.matmul(coeffs, feats, out=out)
     return np.clip(out, 1e-12, None, out=out)
 
 
-def _em_block(units, valid, active, config):
+def _em_block(units, valid, active, config, posterior):
     """Run the EM iterations for one block of frequency bins.
 
     The fit starts from the posterior that is uniform over the admissible
-    classes of each frame, the same for every bin; invalid frames keep it
-    throughout.
+    classes of each frame, the same for every bin; invalid frames carry a
+    zero posterior during the iterations, so that they add nothing to the
+    M-step, and return the uniform one.
 
     Both EM steps are real batched matrix products against one feature
     tensor ``feats`` of shape (F, D*D, T), built once per block by
@@ -263,20 +280,27 @@ def _em_block(units, valid, active, config):
 
     Block size: :func:`em_fit` passes F = 2**19 // (K * T * D) bins at a
     time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
-    4 MB when D = K, and each of the two (F, K, T) buffers, which every
-    iteration reuses, about 8 * 2**19 / D bytes, 1 MB when D = 4. Smaller
-    blocks save little more memory but cost time when utterances run in
-    parallel threads: every block adds the same few dozen numpy calls per
-    iteration, and the threads queue for the interpreter lock between them.
+    4 MB when D = K, and the block's one (F, K, T) buffer, which every
+    iteration reuses next to the block's rows of the output posterior,
+    about 8 * 2**19 / D bytes, 1 MB when D = 4. Smaller blocks save little
+    more memory but cost time when utterances run in parallel threads:
+    every block adds the same few dozen numpy calls per iteration, and the
+    threads queue for the interpreter lock between them. That is also why
+    each step of an iteration is one call over the whole block, with no
+    Python loop over channels, pairs or classes.
 
     Args:
         units: (F, T, D) unit observations.
         valid: (F, T) bool.
         active: (K, T) bool.
         config: EmConfig.
+        posterior: (F, K, T) float64 buffer that receives the posterior;
+            during the iterations it holds the posterior, then the M-step
+            weights gamma / q and then the E-step log scores, which become
+            the next posterior.
 
     Returns:
-        (weights (F, K), shapes (F, K, D, D), gamma (F, K, T),
+        (weights (F, K), shapes (F, K, D, D),
          log-likelihood per iteration (iterations,)).
     """
     bins, frames, dim = units.shape
@@ -289,26 +313,22 @@ def _em_block(units, valid, active, config):
     shapes = _unpack_hermitian(packed, dim)
 
     # Uniform over the admissible classes: the start posterior of every
-    # frame and the posterior of invalid frames.
+    # valid frame and the final posterior of invalid frames.
     uniform = (active / active.sum(axis=0, keepdims=True))[None, :, :]
-    gamma = uniform
     inactive = ~active[None, :, :]
     invalid = ~valid[:, None, :]
+    gamma = np.multiply(uniform, valid[:, None, :], out=posterior)
 
-    # ``score`` holds the M-step weights gamma / q and then the E-step
-    # log scores, which become the next posterior.
     quad = np.empty((bins, classes, frames))
-    score = np.empty_like(quad)
     inv, logdet = _prepare_shapes(shapes)
     _quadratic_form(feats, inv, quad)
     likelihoods = np.zeros(config.iterations)
 
     for it in range(config.iterations):
         # M-step: re-estimate weights and shape matrices from the current
-        # posteriors; invalid frames carry no weight.
-        scaled = np.multiply(gamma, valid[:, None, :], out=score)
-        denom = scaled.sum(axis=-1)
-        scaled /= quad
+        # posteriors, which are zero on invalid frames.
+        denom = gamma.sum(axis=-1)
+        scaled = np.divide(gamma, quad, out=posterior)
         update = dim * (scaled @ feats_t) / np.maximum(denom, 1e-300)[:, :, None]
         packed = np.where((denom > 0.0)[:, :, None], update, packed)
         trace = packed[..., :dim].sum(axis=-1)
@@ -327,7 +347,7 @@ def _em_block(units, valid, active, config):
         # normaliser is at least exp(0) = 1.
         inv, logdet = _prepare_shapes(shapes)
         _quadratic_form(feats, inv, quad)
-        log_score = np.log(quad, out=score)
+        log_score = np.log(quad, out=posterior)
         log_score *= -dim
         log_score += (np.log(weights) - logdet)[:, :, None]
         np.copyto(log_score, -np.inf, where=inactive)
@@ -336,7 +356,7 @@ def _em_block(units, valid, active, config):
         gamma = np.exp(log_score, out=log_score)
         norm = gamma.sum(axis=1, keepdims=True)
         gamma /= norm
-        np.copyto(gamma, uniform, where=invalid)
+        np.copyto(gamma, 0.0, where=invalid)
 
         likelihoods[it] = np.sum(peak[:, 0, :] + np.log(norm[:, 0, :]), where=valid)
         if not np.isfinite(likelihoods[it]):
@@ -345,7 +365,8 @@ def _em_block(units, valid, active, config):
                 f"at iteration {it}"
             )
 
-    return weights, shapes, gamma, likelihoods
+    np.copyto(posterior, uniform, where=invalid)
+    return weights, shapes, likelihoods
 
 
 def em_fit(
@@ -391,8 +412,8 @@ def em_fit(
     block = max(1, 2 ** 19 // max(1, classes * frames * dim))
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
-        weights[lo:hi], shapes[lo:hi], gamma[lo:hi], block_ll = _em_block(
-            units[lo:hi], valid[lo:hi], activity.active, config
+        weights[lo:hi], shapes[lo:hi], block_ll = _em_block(
+            units[lo:hi], valid[lo:hi], activity.active, config, gamma[lo:hi]
         )
         likelihoods += block_ll
 

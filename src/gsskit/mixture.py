@@ -9,14 +9,11 @@ by construction.
 """
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signal import Spectrogram
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DirectionalObservations",
@@ -127,41 +124,25 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     """Project STFT vectors onto the unit sphere, dropping level information.
 
     Zero vectors cannot be normalised; they receive the uniform real
-    direction 1/sqrt(D) and are flagged invalid.
+    direction 1/sqrt(D) and are flagged invalid. The squared norm is summed
+    channel by channel from (conj(z_d) z_d).real, the products and order of
+    ``np.linalg.norm``, so it has the same bits without full-size temporaries.
     """
     if spectrogram.num_channels < 2:
         raise ValueError(
             f"need at least 2 channels to model spatial structure, "
             f"got {spectrogram.num_channels}"
         )
-    obs = spectrogram.bins.transpose(1, 2, 0)
-    norm = np.linalg.norm(obs, axis=-1)
+    bins = spectrogram.bins
+    power = (bins[0].conj() * bins[0]).real.copy()
+    for chan in bins[1:]:
+        power += (chan.conj() * chan).real
+    norm = np.sqrt(power, out=power)
     valid = norm > 0.0
-    units = obs / np.where(valid, norm, 1.0)[..., None]
-    units[~valid] = 1.0 / np.sqrt(obs.shape[-1])
+    norm[~valid] = 1.0
+    units = bins.transpose(1, 2, 0) / norm[..., None]
+    units[~valid] = 1.0 / np.sqrt(units.shape[-1])
     return DirectionalObservations(units=units, valid=valid)
-
-
-def _prepare_shapes(shapes: np.ndarray):
-    """Loaded inverse and log-determinant of a stack of shape matrices.
-
-    Returns (inverse, logdet) for shapes + EPS_LOAD * (trace / D) * I, the
-    form used consistently for every density evaluation. Both come from
-    one Cholesky factor L of the loaded matrix, which is Hermitian
-    positive definite: the log-determinant is twice the summed log of
-    diag(L), and the inverse is W^H W for W = L^-1. Every step is one
-    numpy call over the whole stack, whatever D is: each call is a point
-    where a parallel thread can take the interpreter lock (see
-    :func:`_em_block`).
-    """
-    dim = shapes.shape[-1]
-    trace = np.einsum("...dd->...", shapes).real
-    loaded = shapes + (EPS_LOAD * trace / dim)[..., None, None] * np.eye(dim)
-    chol = np.linalg.cholesky(loaded)
-    chol_diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    lower_inv = np.linalg.inv(chol)
-    inv = np.swapaxes(lower_inv, -1, -2).conj() @ lower_inv
-    return inv, 2.0 * np.log(chol_diag).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,15 +182,14 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _packing_maps(dim: int):
-    """Real matrices between the packing of :func:`_pack_outer_products`
-    and the float64 view (Re, Im interleaved) of flattened (D, D) complex
-    matrices; shared, so callers must not write to them.
+    """(unpack, load, coeffs): real maps between the packing of
+    :func:`_pack_outer_products` and the float64 view of flattened (D, D)
+    complex matrices; shared, so callers must not write to them.
 
-    Returns:
-        (unpack (D*D, 2*D*D), coeffs (2*D*D, D*D)). ``packed @ unpack`` is
-        the Hermitian matrix of a packing; ``view @ coeffs`` packs diag(B),
-        2 Re B_de and 2 Im B_de for d < e. Every output is one input
-        times 1, -1 or 2, so both products are exact.
+    ``packed @ unpack`` is the Hermitian B of a packing, exactly, and
+    ``packed @ load`` is B + EPS_LOAD (trace B / D) I. ``view @ coeffs``
+    packs Re B_dd, Re (B_de + B_ed) and Im (B_de - B_ed) for d < e, the
+    quadratic-form coefficients of the Hermitian part of B.
     """
     rows, cols = _upper_pairs(dim)
     pairs = len(rows)
@@ -221,11 +201,15 @@ def _packing_maps(dim: int):
     unpack[upper, cols, rows, 0] = 1.0
     unpack[upper + pairs, rows, cols, 1] = 1.0
     unpack[upper + pairs, cols, rows, 1] = -1.0
+    load = unpack.copy()
+    load[:dim, diag, diag, 0] += EPS_LOAD / dim
     coeffs = np.zeros((dim, dim, 2, dim * dim))
     coeffs[diag, diag, 0, diag] = 1.0
-    coeffs[rows, cols, 0, upper] = 2.0
-    coeffs[rows, cols, 1, upper + pairs] = 2.0
-    return unpack.reshape(dim * dim, -1), coeffs.reshape(-1, dim * dim)
+    coeffs[rows, cols, 0, upper] = coeffs[cols, rows, 0, upper] = 1.0
+    coeffs[rows, cols, 1, upper + pairs] = 1.0
+    coeffs[cols, rows, 1, upper + pairs] = -1.0
+    flat = dim * dim
+    return unpack.reshape(flat, -1), load.reshape(flat, -1), coeffs.reshape(-1, flat)
 
 
 def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
@@ -235,59 +219,80 @@ def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
     return flat.view(np.complex128).reshape(packed.shape[:-1] + (dim, dim))
 
 
-def _quadratic_form(feats: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Real quadratic form z^H B^-1 z as one GEMM over packed features.
+def _prepare_shapes(packed: np.ndarray, dim: int):
+    """Inverse (..., D, D) and log-determinant of the loaded
+    B + EPS_LOAD (trace B / D) I of each packing, the form of every density.
 
-    For Hermitian B^-1, z^H B^-1 z = sum_d B^-1_dd |z_d|^2
-    + sum_{d<e} 2 Re(B^-1_de) Re(z_d conj z_e) + 2 Im(B^-1_de) Im(z_d conj z_e),
-    so the coefficients of the packed features are diag(B^-1), then
-    2 Re B^-1_de, then 2 Im B^-1_de.
+    Gauss-Jordan elimination inverts all N matrices at once, in place in the
+    (N, D, D) stack the unpacking GEMM writes, in D steps of a few numpy
+    calls, with no LAPACK call per matrix. Loaded, B is Hermitian positive
+    definite and needs no pivoting; its pivots, the LDL^H diagonal, sum in
+    logs to the log-determinant.
+    """
+    lead = packed.shape[:-1]
+    loaded = packed.reshape(-1, dim * dim) @ _packing_maps(dim)[1]
+    inv = loaded.view(np.complex128).reshape(-1, dim, dim)
+    recip = np.empty((dim, inv.shape[0]))
+    # Step k pivots on p = A_kk: A_ij -= A_ik A_kj / p off row and column k,
+    # and column k becomes -A_ik / p. Row k, due to become A_kj / p and
+    # A_kk = 1 / p, stays p times too large: later steps only add multiples
+    # of other rows scaled by its own entries, so one product per row at the
+    # end removes the factor.
+    for k in range(dim):
+        np.divide(1.0, inv[:, k, k].real, out=recip[k])
+        inv[:, :, k] *= -recip[k][:, None]
+        inv[:, k, k] = 0.0
+        inv += inv[:, :, k, None] * inv[:, None, k]
+        inv[:, k, k] = 1.0
+    inv *= recip.T[:, :, None]
+    logdet = -np.log(recip).sum(axis=0)
+    return inv.reshape(lead + (dim, dim)), logdet.reshape(lead)
+
+
+def _quadratic_form(feats, inv, scale, out):
+    """r = c z^H B^-1 z, clipped below at 1e-12 c, as one GEMM whose
+    coefficients are c times those of ``_packing_maps(D)[2]``.
 
     Args:
         feats: (F, D*D, T) features from :func:`_pack_outer_products`.
         inv: (F, K, D, D) Hermitian inverses.
-        out: (F, K, T) float64 buffer the result is written to.
-
-    Returns:
-        ``out``, clipped away from zero.
+        scale: (F, K) positive factors c.
+        out: (F, K, T) float64 buffer for r, which is returned.
     """
     dim = inv.shape[-1]
-    flat = np.ascontiguousarray(inv).reshape(-1, dim * dim).view(np.float64)
-    coeffs = (flat @ _packing_maps(dim)[1]).reshape(inv.shape[:-2] + (dim * dim,))
+    flat = np.multiply(inv, scale[..., None, None])
+    flat = flat.reshape(-1, dim * dim).view(np.float64)
+    coeffs = (flat @ _packing_maps(dim)[2]).reshape(inv.shape[:-2] + (dim * dim,))
     np.matmul(coeffs, feats, out=out)
-    return np.clip(out, 1e-12, None, out=out)
+    return np.maximum(out, 1e-12 * scale[..., None], out=out)
 
 
 def _em_block(units, valid, active, config, posterior):
     """Run the EM iterations for one block of frequency bins.
 
     The fit starts from the posterior that is uniform over the admissible
-    classes of each frame, the same for every bin; invalid frames carry a
-    zero posterior during the iterations, so that they add nothing to the
-    M-step, and return the uniform one.
+    classes of each frame; invalid frames carry a zero posterior during the
+    iterations, so that they add nothing to the M-step, and return the
+    uniform one. Both steps are GEMMs against ``feats`` (F, D*D, T) from
+    :func:`_pack_outer_products`, and shapes stay in that packing.
 
-    Both EM steps are real batched matrix products against one feature
-    tensor ``feats`` of shape (F, D*D, T), built once per block by
-    :func:`_pack_outer_products`: per bin and frame it holds z z^H packed
-    as the D values |z_d|^2, then Re and then Im of z_d conj(z_e) for the
-    pairs d < e. Shape matrices live in the same packing between steps.
-
-    - M-step: sum_t (gamma / q) z z^H is ``scaled @ feats.T``, a GEMM of
-      (F, K, T) by (F, T, D*D), unpacked to Hermitian (F, K, D, D).
-    - E-step: q = z^H B^-1 z is ``coeffs @ feats``, (F, K, D*D) by
-      (F, D*D, T), where ``coeffs`` holds diag(B^-1), 2 Re B^-1_de and
-      2 Im B^-1_de for d < e (see :func:`_quadratic_form`).
+    - M-step: ``(gamma / r) @ feats.T`` times c D / sum_t gamma is
+      D sum_t (gamma / q) z z^H / sum_t gamma.
+    - E-step, in the scale domain: class k scores w_k / (det B_k q_k^D),
+      q_k = z^H B_k^-1 z, which is r_k^-D for r_k = c_k q_k and c_k =
+      exp((logdet B_k - log w_k) / D), with B^-1 from :func:`_prepare_shapes`.
+      :func:`_quadratic_form` returns r, inactive pairs get r = inf, and
+      with r_min the least r of a frame, gamma_k = (r_min / r_k)^D /
+      sum_j (r_min / r_j)^D and the frame's log-likelihood is
+      log sum_j (r_min / r_j)^D - D log r_min: no log or exp over (F, K, T).
 
     Block size: :func:`em_fit` passes F = 2**19 // (K * T * D) bins at a
     time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
-    4 MB when D = K, and the block's one (F, K, T) buffer, which every
-    iteration reuses next to the block's rows of the output posterior,
-    about 8 * 2**19 / D bytes, 1 MB when D = 4. Smaller blocks save little
-    more memory but cost time when utterances run in parallel threads:
-    every block adds the same few dozen numpy calls per iteration, and the
-    threads queue for the interpreter lock between them. That is also why
-    each step of an iteration is one call over the whole block, with no
-    Python loop over channels, pairs or classes.
+    4 MB when D = K, and the (F, K, T) buffer of r 8 * 2**19 / D bytes.
+    Smaller blocks cost time when utterances run in parallel threads: each
+    adds the same numpy calls per iteration, and the threads queue for the
+    interpreter lock between them, which is also why no step loops in
+    Python over frames, pairs or classes.
 
     Args:
         units: (F, T, D) unit observations.
@@ -295,9 +300,7 @@ def _em_block(units, valid, active, config, posterior):
         active: (K, T) bool.
         config: EmConfig.
         posterior: (F, K, T) float64 buffer that receives the posterior;
-            during the iterations it holds the posterior, then the M-step
-            weights gamma / q and then the E-step log scores, which become
-            the next posterior.
+            within an iteration it also holds gamma / r and (r_min / r)^D.
 
     Returns:
         (weights (F, K), shapes (F, K, D, D),
@@ -306,36 +309,34 @@ def _em_block(units, valid, active, config, posterior):
     bins, frames, dim = units.shape
     classes = active.shape[0]
     feats = _pack_outer_products(units)
-    feats_t = feats.transpose(0, 2, 1)
-    eye = np.zeros(dim * dim)
-    eye[:dim] = 1.0
+    eye = np.concatenate([np.ones(dim), np.zeros(dim * dim - dim)])
     packed = np.broadcast_to(eye, (bins, classes, dim * dim)).copy()
-    shapes = _unpack_hermitian(packed, dim)
 
     # Uniform over the admissible classes: the start posterior of every
     # valid frame and the final posterior of invalid frames.
     uniform = (active / active.sum(axis=0, keepdims=True))[None, :, :]
-    inactive = ~active[None, :, :]
-    invalid = ~valid[:, None, :]
-    gamma = np.multiply(uniform, valid[:, None, :], out=posterior)
-
-    quad = np.empty((bins, classes, frames))
-    inv, logdet = _prepare_shapes(shapes)
-    _quadratic_form(feats, inv, quad)
+    barred = np.where(active, 0.0, np.inf)[None, :, :]
+    weight = valid[:, None, :].astype(np.float64)
+    gamma = np.multiply(uniform, weight, out=posterior)
+    # The identity start gives every valid frame q = 1 / (1 + EPS_LOAD), a
+    # constant the first M-step's trace normalisation cancels: r = c = 1.
+    ratio = np.ones((bins, classes, frames))
+    scale = np.ones((bins, classes))
+    # Per frame: the normaliser sum_j (r_min / r_j)^D, then r_min.
+    stats = np.empty((2, bins, 1, frames))
     likelihoods = np.zeros(config.iterations)
 
     for it in range(config.iterations):
-        # M-step: re-estimate weights and shape matrices from the current
-        # posteriors, which are zero on invalid frames.
+        # M-step on posteriors that are zero on invalid frames; shapes are
+        # scaled to trace D, and a class without posterior mass keeps its own.
         denom = gamma.sum(axis=-1)
-        scaled = np.divide(gamma, quad, out=posterior)
-        update = dim * (scaled @ feats_t) / np.maximum(denom, 1e-300)[:, :, None]
-        packed = np.where((denom > 0.0)[:, :, None], update, packed)
-        trace = packed[..., :dim].sum(axis=-1)
-        packed = np.where(
-            (trace > 1e-300)[:, :, None], packed * (dim / np.maximum(trace, 1e-300))[:, :, None], eye
-        )
-        shapes = _unpack_hermitian(packed, dim)
+        fitted = denom > 0.0
+        update = np.divide(gamma, ratio, out=posterior) @ feats.transpose(0, 2, 1)
+        gain = np.where(fitted, dim * scale / np.maximum(denom, 1e-300), 0.0)
+        trace = update[..., :dim].sum(axis=-1) * gain
+        factor = (gain * dim / np.maximum(trace, 1e-300))[:, :, None]
+        np.multiply(update, factor, out=packed, where=fitted[:, :, None])
+        packed[fitted & ~(trace > 1e-300)] = eye
 
         total = denom.sum(axis=-1, keepdims=True)
         weights = np.where(total > 0.0, denom / np.maximum(total, 1e-300), 1.0 / classes)
@@ -343,30 +344,28 @@ def _em_block(units, valid, active, config, posterior):
         weights = weights / weights.sum(axis=-1, keepdims=True)
 
         # E-step: clamped posteriors under the refreshed parameters. The
-        # noise class is always active, so the peak is finite and the
-        # normaliser is at least exp(0) = 1.
-        inv, logdet = _prepare_shapes(shapes)
-        _quadratic_form(feats, inv, quad)
-        log_score = np.log(quad, out=posterior)
-        log_score *= -dim
-        log_score += (np.log(weights) - logdet)[:, :, None]
-        np.copyto(log_score, -np.inf, where=inactive)
-        peak = log_score.max(axis=1, keepdims=True)
-        log_score -= peak
-        gamma = np.exp(log_score, out=log_score)
-        norm = gamma.sum(axis=1, keepdims=True)
-        gamma /= norm
-        np.copyto(gamma, 0.0, where=invalid)
+        # noise class is always active, so r_min is finite and the
+        # normaliser is at least 1.
+        inv, logdet = _prepare_shapes(packed, dim)
+        scale = np.exp((logdet - np.log(weights)) / dim)
+        _quadratic_form(feats, inv, scale, ratio)
+        ratio += barred
+        least = ratio.min(axis=1, keepdims=True, out=stats[1])
+        gamma = np.divide(least, ratio, out=posterior)
+        base = gamma.copy() if dim & (dim - 1) else None
+        for bit in bin(dim)[3:]:  # gamma ** D by repeated squaring
+            np.square(gamma, out=gamma)
+            if bit == "1":
+                gamma *= base
+        gamma *= np.divide(weight, gamma.sum(axis=1, keepdims=True, out=stats[0]))
 
-        likelihoods[it] = np.sum(peak[:, 0, :] + np.log(norm[:, 0, :]), where=valid)
+        logs = np.einsum("sfkt,fkt->s", np.log(stats, out=stats), weight)
+        likelihoods[it] = logs[0] - dim * logs[1]
         if not np.isfinite(likelihoods[it]):
-            raise RuntimeError(
-                f"mixture model EM produced a non-finite log-likelihood "
-                f"at iteration {it}"
-            )
+            raise RuntimeError(f"mixture EM produced a non-finite log-likelihood at iteration {it}")
 
-    np.copyto(posterior, uniform, where=invalid)
-    return weights, shapes, likelihoods
+    np.copyto(posterior, uniform, where=~valid[:, None, :])
+    return weights, _unpack_hermitian(packed, dim), likelihoods
 
 
 def em_fit(

@@ -153,7 +153,8 @@ def _section_kwargs(cls, raw, section: str) -> dict:
 
 @dataclass
 class EnhanceDetails:
-    """Per-utterance diagnostics emitted alongside the enhanced signal."""
+    """Per-utterance diagnostics emitted alongside the enhanced signal;
+    ``posterior_core`` is a compact copy, not a view of the segment's."""
 
     reference_channel: int
     target_class: int
@@ -292,7 +293,7 @@ def enhance_utterance(
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,
-        posterior_core=posterior_core,
+        posterior_core=Posterior(gamma=posterior_core.gamma.copy()),
     )
     return out, details
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,15 @@ def reference_quadratic_form(units, inv):
     return np.clip(quad, 1e-12, None)
 
 
+def pack_hermitian(shapes):
+    """(..., D, D) Hermitian matrices to the real packing of the kernel:
+    the diagonal, then Re and Im of the entries above it, row by row."""
+    rows, cols = np.triu_indices(shapes.shape[-1], 1)
+    upper = shapes[..., rows, cols]
+    diag = np.einsum("...dd->...d", shapes).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
+
+
 def reference_prepare(shapes):
     dim = shapes.shape[-1]
     trace = np.einsum("...dd->...", shapes).real
@@ -256,13 +267,20 @@ def seeded_case(seed, frames, freqs, channels, classes):
     return obs, ActivityMask(active)
 
 
+# D = 6 takes a power D that is not a square, and D = 24 is the
+# multi-array track's 6 x 4 channels. 24 channels get 210 frames: at 70, a
+# class holds fewer frames than channels, so its shape matrix is singular
+# but for the loading (condition number about 1e7), and the shape entries
+# move by about 1e-7 of their size under rounding in any double-precision
+# kernel; test_em_fit_likelihood_matches_reference_with_singular_shapes
+# covers that case for the well-conditioned outputs.
 @pytest.mark.parametrize(
-    "channels, classes",
-    [(2, 3), (4, 4), (8, 3), (4, 1)],
-    ids=["D2", "D4", "D8", "K1"],
+    "channels, classes, frames",
+    [(2, 3, 70), (4, 4, 70), (8, 3, 70), (4, 1, 70), (6, 3, 70), (24, 5, 210)],
+    ids=["D2", "D4", "D8", "K1", "D6", "D24"],
 )
-def test_em_fit_matches_einsum_reference(channels, classes):
-    obs, act = seeded_case(channels * 10 + classes, frames=70, freqs=6,
+def test_em_fit_matches_einsum_reference(channels, classes, frames):
+    obs, act = seeded_case(channels * 10 + classes, frames=frames, freqs=6,
                            channels=channels, classes=classes)
     assert not obs.valid.all()
     config = EmConfig(iterations=8)
@@ -276,6 +294,80 @@ def test_em_fit_matches_einsum_reference(channels, classes):
     inactive = ~act.active
     assert np.all(post.gamma[inactive.nonzero()[0], inactive.nonzero()[1]] == 0.0)
     assert np.all(np.diff(lls) >= -1e-9 * np.abs(lls[:-1])), lls
+
+
+def test_em_fit_likelihood_matches_reference_with_singular_shapes():
+    obs, act = seeded_case(245, frames=70, freqs=6, channels=24, classes=5)
+    config = EmConfig(iterations=8)
+    params, post, lls = em_fit(obs, act, config, return_likelihoods=True)
+    ref_params, ref_post, ref_lls = reference_em(obs, act, config)
+    eigen = np.linalg.eigvalsh(ref_params.shapes)
+    assert (eigen[..., -1] / np.abs(eigen[..., 0])).max() > 1e12
+    np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
+    # Posteriors below about 1e-80 carry the same 2e-7 relative rounding
+    # with the Cholesky kernel, so they are compared as probabilities.
+    np.testing.assert_allclose(post.gamma, ref_post.gamma, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(lls, ref_lls, rtol=1e-9, atol=0)
+
+
+def invariance_case(seed=31, frames=60, freqs=7, channels=4, classes=3):
+    """A spectrogram, its activity and the posterior em_fit gives them."""
+    rng = np.random.default_rng(seed)
+    bins = rng.standard_normal((channels, frames, freqs)) + 1j * rng.standard_normal(
+        (channels, frames, freqs)
+    )
+    spec = Spectrogram(bins, StftConfig(fft_size=2 * (freqs - 1), shift=freqs - 1), 16000)
+    active = np.zeros((classes, frames), bool)
+    active[0] = True
+    for k in range(1, classes):
+        lo = rng.integers(0, frames // 2)
+        active[k, lo:lo + frames // 2] = True
+    return spec, active
+
+
+def fitted_posterior(spec, active):
+    _, post = em_fit(normalize_observations(spec), ActivityMask(active), EmConfig(iterations=10))
+    return post.gamma
+
+
+def test_em_fit_is_invariant_to_channel_order():
+    spec, active = invariance_case()
+    permuted = replace(spec, bins=spec.bins[[2, 0, 3, 1]])
+    np.testing.assert_allclose(
+        fitted_posterior(permuted, active), fitted_posterior(spec, active), rtol=1e-9, atol=1e-12
+    )
+
+
+def test_em_fit_relabels_posteriors_with_the_speakers():
+    spec, active = invariance_case(classes=4)
+    order = [0, 3, 1, 2]
+    np.testing.assert_allclose(
+        fitted_posterior(spec, active[order]),
+        fitted_posterior(spec, active)[order],
+        rtol=1e-9,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("gain", [1e-3, 3.7])
+def test_em_fit_is_invariant_to_input_gain(gain):
+    spec, active = invariance_case()
+    louder = replace(spec, bins=gain * spec.bins)
+    np.testing.assert_allclose(
+        fitted_posterior(louder, active), fitted_posterior(spec, active), rtol=1e-9, atol=1e-12
+    )
+
+
+def test_em_fit_gives_silent_frames_the_uniform_posterior():
+    spec, active = invariance_case(classes=4)
+    silent = [0, 17, 18, 59]
+    spec.bins[:, silent] = 0.0
+    uniform = active / active.sum(axis=0)
+    gamma = fitted_posterior(spec, active)
+    np.testing.assert_allclose(
+        gamma[:, silent], np.repeat(uniform[:, silent, None], spec.bins.shape[2], axis=2),
+        rtol=1e-9, atol=0,
+    )
 
 
 def test_em_bins_fit_independently():
@@ -309,13 +401,18 @@ def test_packed_features_reproduce_einsum_steps():
         feats = _pack_outer_products(units)
         assert feats.shape == (4, dim * dim, 30) and feats.flags.c_contiguous
         scaled = rng.random((4, 2, 30))
-        numer = _unpack_hermitian(scaled @ feats.transpose(0, 2, 1), dim)
+        packed = scaled @ feats.transpose(0, 2, 1)
+        numer = _unpack_hermitian(packed, dim)
         np.testing.assert_allclose(numer, reference_m_step(scaled, units), rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(numer, np.swapaxes(numer, -1, -2).conj())
+        np.testing.assert_array_equal(pack_hermitian(numer), packed)
 
-        inv, _ = _prepare_shapes(numer + np.eye(dim))
-        quad = _quadratic_form(feats, inv, np.empty((4, 2, 30)))
-        np.testing.assert_allclose(quad, reference_quadratic_form(units, inv), rtol=1e-12)
+        packed[..., :dim] += 1.0
+        inv, _ = _prepare_shapes(packed, dim)
+        scale = rng.random((4, 2)) + 0.5
+        quad = _quadratic_form(feats, inv, scale, np.empty((4, 2, 30)))
+        expected = scale[..., None] * reference_quadratic_form(units, inv)
+        np.testing.assert_allclose(quad, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -328,10 +425,11 @@ def test_prepare_shapes_logdet_matches_slogdet(dim):
     # A rank-one shape is positive definite only through the loading.
     shapes[0, 0] = 0.0
     shapes[0, 0, 0, 0] = 1.0
-    inv, logdet = _prepare_shapes(shapes)
+    inv, logdet = _prepare_shapes(pack_hermitian(shapes), dim)
     ref_inv, ref_logdet = reference_prepare(shapes)
     np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12, atol=1e-12)
-    # The inverse comes from the Cholesky factor, not from an LU solve, so
-    # it agrees with np.linalg.inv to rounding of each matrix's largest entry.
+    # The inverse comes from Gauss-Jordan elimination without pivoting, not
+    # from an LU solve with partial pivoting, so it agrees with
+    # np.linalg.inv to rounding of each matrix's largest entry.
     scale = np.abs(ref_inv).max(axis=(-2, -1), keepdims=True)
     assert np.all(np.abs(inv - ref_inv) <= 1e-13 * scale)

@@ -15,6 +15,7 @@ from gsskit import (
     Utterance,
     Waveform,
     build_activity,
+    em_fit,
     enhance_utterance,
     parse_annotations,
     run_batch,
@@ -200,6 +201,30 @@ def test_enhance_utterance_returns_core_audio():
     base = scene.mixture.samples[details.reference_channel,
                                  target.start_samples : target.end_samples]
     assert si_sdr(out.samples[0], ref) > si_sdr(base, ref) + 5.0
+
+
+def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
+    from gsskit import pipeline
+
+    fitted = []
+
+    def recording_em_fit(*args, **kwargs):
+        result = em_fit(*args, **kwargs)
+        fitted.append(result[1].gamma)
+        return result
+
+    monkeypatch.setattr(pipeline, "em_fit", recording_em_fit)
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    _, details = enhance_utterance(
+        utterances[0], scene.mixture, activity, fast_config(), return_details=True
+    )
+    core = details.posterior_core.gamma
+    assert not np.shares_memory(core, fitted[0])
+    np.testing.assert_array_equal(
+        core, fitted[0][:, details.core_frames.start:details.core_frames.stop]
+    )
 
 
 def test_enhance_utterance_single_track_masks():

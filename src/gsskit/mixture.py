@@ -286,8 +286,8 @@ def _em_block(units, valid, active, config, posterior):
       sum_j (r_min / r_j)^D and the frame's log-likelihood is
       log sum_j (r_min / r_j)^D - D log r_min: no log or exp over (F, K, T).
 
-    Block size: :func:`em_fit` passes F = 2**19 // (K * T * D) bins at a
-    time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
+    Block size: :func:`em_fit` passes at most F = 2**19 // (K * T * D) bins
+    at a time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
     4 MB when D = K, and the (F, K, T) buffer of r 8 * 2**19 / D bytes.
     Smaller blocks cost time when utterances run in parallel threads: each
     adds the same numpy calls per iteration, and the threads queue for the
@@ -395,10 +395,7 @@ def em_fit(
     """
     frames, bins, dim = observations.units.shape
     if activity.num_frames != frames:
-        raise ValueError(
-            f"activity covers {activity.num_frames} frames, observations "
-            f"have {frames}"
-        )
+        raise ValueError(f"activity covers {activity.num_frames} frames, observations have {frames}")
     classes = activity.num_classes
     units = observations.units.transpose(1, 0, 2)
     valid = observations.valid.T
@@ -409,6 +406,7 @@ def em_fit(
     likelihoods = np.zeros(config.iterations)
 
     block = max(1, 2 ** 19 // max(1, classes * frames * dim))
+    block = -(-bins // -(-bins // block))  # as many blocks, all of one size
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
         weights[lo:hi], shapes[lo:hi], block_ll = _em_block(

@@ -185,11 +185,10 @@ def _packing_maps(dim: int):
     """(unpack, load, coeffs): real maps between the packing of
     :func:`_pack_outer_products` and the float64 view of flattened (D, D)
     complex matrices; shared, so callers must not write to them.
-
-    ``packed @ unpack`` is the Hermitian B of a packing, exactly, and
-    ``packed @ load`` is B + EPS_LOAD (trace B / D) I. ``view @ coeffs``
-    packs Re B_dd, Re (B_de + B_ed) and Im (B_de - B_ed) for d < e, the
-    quadratic-form coefficients of the Hermitian part of B.
+    ``packed @ unpack`` is the Hermitian B of a packing, exactly, ``packed @
+    load`` is B + EPS_LOAD (trace B / D) I, and ``view @ coeffs`` packs the
+    quadratic-form coefficients of B's Hermitian part: Re B_dd, then
+    Re (B_de + B_ed) and Im (B_de - B_ed) for d < e.
     """
     rows, cols = _upper_pairs(dim)
     pairs = len(rows)
@@ -220,24 +219,21 @@ def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _prepare_shapes(packed: np.ndarray, dim: int):
-    """Inverse (..., D, D) and log-determinant of the loaded
-    B + EPS_LOAD (trace B / D) I of each packing, the form of every density.
-
-    Gauss-Jordan elimination inverts all N matrices at once, in place in the
-    (N, D, D) stack the unpacking GEMM writes, in D steps of a few numpy
-    calls, with no LAPACK call per matrix. Loaded, B is Hermitian positive
-    definite and needs no pivoting; its pivots, the LDL^H diagonal, sum in
-    logs to the log-determinant.
+    """Inverse (..., D, D) and log-determinant of the loaded B + EPS_LOAD
+    (trace B / D) I of each packing, the form of every density: Gauss-Jordan
+    elimination of all N matrices at once, in place in the (N, D, D) stack
+    the unpacking GEMM writes, in D steps of a few numpy calls and with no
+    LAPACK call per matrix. Loaded, B is Hermitian positive definite and
+    needs no pivoting; the logs of its pivots sum to the log-determinant.
     """
     lead = packed.shape[:-1]
     loaded = packed.reshape(-1, dim * dim) @ _packing_maps(dim)[1]
     inv = loaded.view(np.complex128).reshape(-1, dim, dim)
     recip = np.empty((dim, inv.shape[0]))
     # Step k pivots on p = A_kk: A_ij -= A_ik A_kj / p off row and column k,
-    # and column k becomes -A_ik / p. Row k, due to become A_kj / p and
-    # A_kk = 1 / p, stays p times too large: later steps only add multiples
-    # of other rows scaled by its own entries, so one product per row at the
-    # end removes the factor.
+    # column k becomes -A_ik / p, and row k (due to become A_kj / p, with
+    # A_kk = 1 / p) stays p times too large: later steps only add multiples of
+    # other rows scaled by its own entries, so one product per row fixes it.
     for k in range(dim):
         np.divide(1.0, inv[:, k, k].real, out=recip[k])
         inv[:, :, k] *= -recip[k][:, None]
@@ -286,12 +282,10 @@ def _em_block(units, valid, active, config, posterior):
       sum_j (r_min / r_j)^D and the frame's log-likelihood is
       log sum_j (r_min / r_j)^D - D log r_min: no log or exp over (F, K, T).
 
-    Block size: :func:`em_fit` passes at most F = 2**19 // (K * T * D) bins
-    at a time (at least one), so ``feats`` takes about 8 * 2**19 * D / K bytes,
-    4 MB when D = K, and the (F, K, T) buffer of r 8 * 2**19 / D bytes.
-    Smaller blocks cost time when utterances run in parallel threads: each
-    adds the same numpy calls per iteration, and the threads queue for the
-    interpreter lock between them, which is also why no step loops in
+    Block size: :func:`em_fit` passes at most F = 2**19 // (K * T * D) bins,
+    so ``feats`` takes 8 * 2**19 * D / K bytes and r 8 * 2**19 / D. Smaller
+    blocks cost time with parallel threads, which queue for the interpreter
+    lock at each of the numpy calls a block makes; nor does any step loop in
     Python over frames, pairs or classes.
 
     Args:
@@ -373,6 +367,7 @@ def em_fit(
     activity: ActivityMask,
     config: EmConfig = EmConfig(),
     return_likelihoods: bool = False,
+    frames: range | None = None,
 ):
     """Fit the guided mixture model.
 
@@ -388,30 +383,35 @@ def em_fit(
         activity: (K, T) admissible classes per frame.
         config: EM schedule.
         return_likelihoods: also return the per-iteration log-likelihood.
+        frames: the frames whose posterior is returned, all by default;
+            the fit uses every frame either way.
 
     Returns:
         (MixtureParams, Posterior), plus the likelihood trace when
         requested.
     """
-    frames, bins, dim = observations.units.shape
-    if activity.num_frames != frames:
-        raise ValueError(f"activity covers {activity.num_frames} frames, observations have {frames}")
+    total, bins, dim = observations.units.shape
+    if activity.num_frames != total:
+        raise ValueError(f"activity covers {activity.num_frames} frames, observations have {total}")
     classes = activity.num_classes
     units = observations.units.transpose(1, 0, 2)
     valid = observations.valid.T
+    keep = range(total) if frames is None else frames
 
     weights = np.empty((bins, classes))
     shapes = np.empty((bins, classes, dim, dim), dtype=np.complex128)
-    gamma = np.empty((bins, classes, frames))
+    gamma = np.empty((bins, classes, len(keep)))
     likelihoods = np.zeros(config.iterations)
 
-    block = max(1, 2 ** 19 // max(1, classes * frames * dim))
+    block = max(1, 2 ** 19 // max(1, classes * total * dim))
     block = -(-bins // -(-bins // block))  # as many blocks, all of one size
+    work = np.empty((block, classes, total))
     for lo in range(0, bins, block):
         hi = min(bins, lo + block)
         weights[lo:hi], shapes[lo:hi], block_ll = _em_block(
-            units[lo:hi], valid[lo:hi], activity.active, config, gamma[lo:hi]
+            units[lo:hi], valid[lo:hi], activity.active, config, work[: hi - lo]
         )
+        gamma[lo:hi] = work[: hi - lo, :, keep.start:keep.stop]
         likelihoods += block_ll
 
     params = MixtureParams(weights=weights, shapes=shapes)

@@ -248,8 +248,8 @@ def enhance_utterance(
     # frames on both sides: without them the overlap-add window sum tapers
     # off inside the requested sample range and edge samples are produced
     # from a lone window tail. Only these frames of the spectrogram are
-    # read from here on, so a compact copy of them replaces it, and the
-    # observations go as soon as the mixture is fitted.
+    # read from here on, so a compact copy of them replaces it, EM returns
+    # their posterior only, and the observations go once it is fitted.
     guard = -(-config.stft.fft_size // config.stft.shift)
     synth = range(
         max(0, core.start - guard),
@@ -260,11 +260,13 @@ def enhance_utterance(
 
     mask = activity_to_frames(activity, extended, config.stft)
     target_class = activity.class_of(utterance.speaker_id)
-    _, posterior, likelihoods = em_fit(observations, mask, config.em, return_likelihoods=True)
+    _, posterior, likelihoods = em_fit(observations, mask, config.em,
+                                       return_likelihoods=True, frames=synth)
     del observations
-    posterior_core = trim_context(posterior, core)
+    core_local = range(core.start - synth.start, core.stop - synth.start)
+    posterior_core = trim_context(posterior, core_local)
 
-    core_spec = synth_spec.take_frames(range(core.start - synth.start, core.stop - synth.start))
+    core_spec = synth_spec.take_frames(core_local)
     psds = estimate_psds(core_spec, posterior_core, target_class)
     reference = select_reference(psds)
     weights = ban_postfilter(mvdr_souden(psds, reference), psds)
@@ -272,7 +274,7 @@ def enhance_utterance(
 
     masking_applied = False
     if config.masking_enabled:
-        estimate = apply_target_mask(estimate, trim_context(posterior, synth), target_class)
+        estimate = apply_target_mask(estimate, posterior, target_class)
         masking_applied = True
 
     # Synthesis offset: local position of the core start within the frame

@@ -386,6 +386,17 @@ def test_em_bins_fit_independently():
     np.testing.assert_allclose(total, whole_lls, rtol=1e-12)
 
 
+def test_em_fit_returns_the_requested_frames():
+    obs, act = seeded_case(8, frames=50, freqs=9, channels=4, classes=3)
+    config = EmConfig(iterations=4)
+    params, whole, lls = em_fit(obs, act, config, return_likelihoods=True)
+    part_params, part, part_lls = em_fit(obs, act, config, return_likelihoods=True,
+                                         frames=range(12, 31))
+    np.testing.assert_array_equal(part.gamma, whole.gamma[:, 12:31])
+    np.testing.assert_array_equal(part_params.shapes, params.shapes)
+    np.testing.assert_array_equal(part_lls, lls)
+
+
 def test_packed_features_reproduce_einsum_steps():
     rng = np.random.default_rng(12)
     from gsskit.mixture import (

@@ -206,11 +206,11 @@ def test_enhance_utterance_returns_core_audio():
 def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
     from gsskit import pipeline
 
-    fitted = []
+    calls = []
 
     def recording_em_fit(*args, **kwargs):
         result = em_fit(*args, **kwargs)
-        fitted.append(result[1].gamma)
+        calls.append((args, result[1].gamma))
         return result
 
     monkeypatch.setattr(pipeline, "em_fit", recording_em_fit)
@@ -220,10 +220,12 @@ def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
     _, details = enhance_utterance(
         utterances[0], scene.mixture, activity, fast_config(), return_details=True
     )
+    (args, returned), = calls
     core = details.posterior_core.gamma
-    assert not np.shares_memory(core, fitted[0])
+    assert not np.shares_memory(core, returned)
+    _, whole = em_fit(*args)
     np.testing.assert_array_equal(
-        core, fitted[0][:, details.core_frames.start:details.core_frames.stop]
+        core, whole.gamma[:, details.core_frames.start:details.core_frames.stop]
     )
 
 

@@ -304,14 +304,15 @@ def test_em_fit_likelihood_matches_reference_with_singular_shapes():
     eigen = np.linalg.eigvalsh(ref_params.shapes)
     assert (eigen[..., -1] / np.abs(eigen[..., 0])).max() > 1e12
     np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
-    # Posteriors below about 1e-80 carry the same 2e-7 relative rounding
-    # with the Cholesky kernel, so they are compared as probabilities.
+    # Posteriors below about 1e-80 differ from the reference by up to 2e-7
+    # of themselves through rounding alone, so they are compared as
+    # probabilities.
     np.testing.assert_allclose(post.gamma, ref_post.gamma, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(lls, ref_lls, rtol=1e-9, atol=0)
 
 
 def invariance_case(seed=31, frames=60, freqs=7, channels=4, classes=3):
-    """A spectrogram, its activity and the posterior em_fit gives them."""
+    """A random spectrogram and a partial class activity for its frames."""
     rng = np.random.default_rng(seed)
     bins = rng.standard_normal((channels, frames, freqs)) + 1j * rng.standard_normal(
         (channels, frames, freqs)

@@ -170,6 +170,14 @@ def mvdr_souden(psds: PsdSet, reference: int) -> BeamformerWeights:
     return BeamformerWeights(weights=_souden_beamformers(psds)[reference], reference=reference)
 
 
+def _reference_scores(psds: PsdSet) -> np.ndarray:
+    """(D,) expected output SNR of each candidate reference channel."""
+    w = _souden_beamformers(psds)
+    num = np.einsum("cfd,fde,cfe->cf", w.conj(), psds.target, w).real
+    den = np.einsum("cfd,fde,cfe->cf", w.conj(), psds.distortion, w).real
+    return np.mean(np.maximum(num, 0.0) / np.maximum(den, 1e-300), axis=1)
+
+
 def select_reference(psds: PsdSet) -> int:
     """Choose the reference channel with the best expected output SNR.
 
@@ -178,16 +186,7 @@ def select_reference(psds: PsdSet) -> int:
     averaged over frequency in the linear domain. Ties resolve to the
     lowest channel index.
     """
-    dim = psds.num_channels
-    beamformers = _souden_beamformers(psds)
-    scores = np.empty(dim)
-    for channel in range(dim):
-        w = beamformers[channel]
-        num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
-        den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
-        snr = np.maximum(num, 0.0) / np.maximum(den, 1e-300)
-        scores[channel] = np.mean(snr)
-    return int(np.argmax(scores))
+    return int(np.argmax(_reference_scores(psds)))
 
 
 def ban_postfilter(weights: BeamformerWeights, psds: PsdSet) -> BeamformerWeights:

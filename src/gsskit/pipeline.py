@@ -172,11 +172,14 @@ def stack_arrays(waveforms) -> Waveform:
     """Concatenate array channels into one super-array signal.
 
     Arrays of slightly different length are trimmed to the shortest one
-    (with a warning); different sample rates are an error.
+    (with a warning); different sample rates are an error. A lone array
+    is returned as it is, not copied.
     """
     waveforms = list(waveforms)
     if not waveforms:
         raise ValueError("no arrays to stack")
+    if len(waveforms) == 1:
+        return waveforms[0]
     rates = {w.sample_rate for w in waveforms}
     if len(rates) != 1:
         raise ValueError(f"arrays disagree on sample rate: {sorted(rates)}")

@@ -114,22 +114,19 @@ def wpe_dereverberate(
         if not active.size:
             continue
         obs = obs[active]
-        n = len(active)
+        stacked, scaled = stacked_buf[:len(active)], scaled_buf[:len(active)]
         # Lags delay + k <= first - 1, so every history frame of a
         # predicted frame lies inside the segment.
-        stacked = stacked_buf[:n]
         for k, lag in enumerate((0, *range(config.delay, first))):
             stacked[:, :, k * channels:(k + 1) * channels] = obs[:, first - lag:frames - lag]
         tail, history = stacked[:, :, :channels], stacked[:, :, channels:]
-        scaled = scaled_buf[:n]
-        estimate = obs.copy()
-
+        # The predicted frames' power summed over channels: divided by M it
+        # weighs the next iteration, as it stands it is this one's residual.
+        residual = np.sum(np.abs(tail) ** 2, axis=2)
         floor = 1e-10 * energy[active]
         ridge = None
         for it in range(config.iterations):
-            power = np.mean(np.abs(estimate) ** 2, axis=2)
-            lam = np.maximum(power, floor[:, None])[:, first:]
-
+            lam = np.maximum(residual / channels, floor[:, None])
             # Complex Gram S^H S from the real Gram of the interleaved
             # (re, im) view; numpy runs X^T X as a symmetric rank-k update.
             np.multiply(stacked.view(np.float64), 1.0 / np.sqrt(lam)[:, :, None], out=scaled)
@@ -140,12 +137,12 @@ def wpe_dereverberate(
                 ridge = RIDGE_EPS * np.trace(corr, axis1=1, axis2=2).real / order
             filters = np.linalg.solve(corr + ridge[:, None, None] * eye, cross)
 
-            estimate[:, first:] = tail - history @ filters
-            residual = np.sum(np.abs(estimate[:, first:]) ** 2, axis=2)
+            estimate = tail - history @ filters
+            residual = np.sum(np.abs(estimate) ** 2, axis=2)
             objective[it] += np.sum(residual / lam + channels * np.log(lam))
             objective[it] += np.sum(ridge * np.sum(np.abs(filters) ** 2, axis=(1, 2)))
 
-        output[:, :, lo + active] = estimate.transpose(2, 1, 0)
+        output[:, first:, lo + active] = estimate.transpose(2, 1, 0)
 
     result = Spectrogram(output, spectrogram.config, spectrogram.sample_rate)
     if return_diagnostics:

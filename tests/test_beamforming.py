@@ -16,6 +16,7 @@ from gsskit import (
     mvdr_souden,
     select_reference,
 )
+from gsskit.beamforming import _reference_scores, _souden_beamformers
 
 
 def make_spec(bins):
@@ -223,6 +224,42 @@ def test_select_reference_matches_brute_force():
     for _ in range(15):
         psds = random_psd_set(rng, freqs=4, dim=4)
         assert select_reference(psds) == reference_selection_oracle(psds)
+
+
+def test_reference_scores_equal_a_per_channel_loop():
+    # The batched scoring adds the same products in the same order as one
+    # pair of einsums per candidate channel, so the scores are equal, not
+    # only close.
+    rng = np.random.default_rng(12)
+    for freqs, dim in ((1, 2), (5, 4), (33, 6), (9, 8), (17, 12)):
+        psds = random_psd_set(rng, freqs=freqs, dim=dim)
+        psds.target[0] = 0.0  # a degenerate bin takes the identity weights
+        beamformers = _souden_beamformers(psds)
+        loop = np.empty(dim)
+        for channel in range(dim):
+            w = beamformers[channel]
+            num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
+            den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
+            loop[channel] = np.mean(np.maximum(num, 0.0) / np.maximum(den, 1e-300))
+        assert np.array_equal(_reference_scores(psds), loop)
+        assert select_reference(psds) == int(np.argmax(loop))
+
+
+def test_select_reference_follows_a_channel_permutation():
+    rng = np.random.default_rng(13)
+    for dim in (3, 4, 6):
+        psds = random_psd_set(rng, freqs=12, dim=dim)
+        reference = select_reference(psds)
+        perm = rng.permutation(dim)
+        permuted = PsdSet(
+            psds.target[:, perm][:, :, perm],
+            psds.distortion[:, perm][:, :, perm],
+            frame_count=psds.frame_count,
+            target_fallback=psds.target_fallback,
+            distortion_fallback=psds.distortion_fallback,
+        )
+        # New channel i is old channel perm[i].
+        assert perm[select_reference(permuted)] == reference
 
 
 def test_select_reference_rejects_unknown_mode():

@@ -160,6 +160,8 @@ def test_stack_arrays_combines_channels():
     b = Waveform(np.zeros((1, 100)), SAMPLE_RATE)
     stacked = stack_arrays([a, b])
     assert stacked.samples.shape == (3, 100)
+    # A lone array needs no concatenation and is not copied.
+    assert np.shares_memory(stack_arrays([a]).samples, a.samples)
     with pytest.raises(ValueError, match="sample rate"):
         stack_arrays([a, Waveform(np.zeros((1, 100)), 8000)])
     with pytest.raises(ValueError, match="stack"):

@@ -11,7 +11,6 @@ end-to-end evaluation.
 from .activity import (
     SAMPLE_RATE,
     ExtendedUtterance,
-    OverlapHistogram,
     SessionActivity,
     Utterance,
     activity_to_frames,
@@ -24,7 +23,6 @@ from .activity import (
     refine_with_asr,
 )
 from .beamforming import (
-    BeamformerWeights,
     PsdSet,
     apply_beamformer,
     apply_target_mask,
@@ -33,16 +31,14 @@ from .beamforming import (
     mvdr_souden,
     select_reference,
 )
-from .metrics import SeparationMetrics, oracle_masks, permutation_consistency, si_sdr
+from .metrics import oracle_masks, permutation_consistency, si_sdr
 from .mixture import (
     ActivityMask,
     DirectionalObservations,
     EmConfig,
     MixtureParams,
-    Posterior,
     em_fit,
     normalize_observations,
-    trim_context,
 )
 from .pipeline import (
     EnhanceDetails,

@@ -7,6 +7,7 @@ centisecond is a whole number of samples at that rate.
 """
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ __all__ = [
     "Utterance",
     "ExtendedUtterance",
     "SessionActivity",
-    "OverlapHistogram",
     "OVERLAP_BIN_EDGES",
     "parse_time",
     "format_time",
@@ -38,6 +38,7 @@ __all__ = [
     "overlap_fraction",
     "overlap_histogram",
     "overlap_word_counts",
+    "word_fractions",
     "merge_intervals",
     "intersect_intervals",
     "subtract_intervals",
@@ -312,10 +313,25 @@ def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivit
 
     Args:
         activity: annotation-derived activity.
-        silences: speaker id to list of (start, end) pairs in seconds.
+        silences: speaker id to list of (start, end) pairs in seconds,
+            finite and with start < end; anything else raises ValueError
+            naming the speaker and the index of the span.
     """
+    if not isinstance(silences, dict):
+        raise ValueError(f"silences must be an object of speaker id -> spans, "
+                         f"got {type(silences).__name__}")
     refined = dict(activity.intervals)
     for speaker, spans in silences.items():
+        if not isinstance(spans, (list, tuple)):
+            raise ValueError(f"silences of speaker {speaker} must be a list of "
+                             f"[start, end] pairs, got {type(spans).__name__}")
+        for index, span in enumerate(spans):
+            if not (isinstance(span, (list, tuple)) and len(span) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and math.isfinite(v) for v in span)
+                    and span[0] < span[1]):
+                raise ValueError(f"silences of speaker {speaker}, span {index}: expected "
+                                 f"[start, end] in seconds with start < end, got {span!r}")
         if speaker not in refined:
             logger.warning("silence info for unknown speaker %s ignored", speaker)
             continue
@@ -449,33 +465,13 @@ def overlap_fraction(utterance: Utterance, activity: SessionActivity) -> float:
 OVERLAP_BIN_EDGES = (0, 20, 40, 60, 80, 100)
 
 
-@dataclass(frozen=True)
-class OverlapHistogram:
-    """Word counts and frequencies over the bins of :data:`OVERLAP_BIN_EDGES`.
-
-    Bin i covers [20 * i, 20 * (i + 1)) percent; fully overlapped
-    utterances (exactly 100%) land in the last bin.
-    """
-
-    word_counts: np.ndarray
-    frequencies: np.ndarray
-
-    @classmethod
-    def from_counts(cls, word_counts: np.ndarray) -> "OverlapHistogram":
-        """Normalise per-bin word counts; zero words warn and give zeros."""
-        total = word_counts.sum()
-        if total == 0:
-            logger.warning("overlap histogram over zero words, frequencies are zero")
-            return cls(word_counts, np.zeros(len(word_counts)))
-        return cls(word_counts, word_counts / total)
-
-
 def overlap_word_counts(utterances, activity: SessionActivity) -> np.ndarray:
     """Lexical words per overlap bin (``OVERLAP_BIN_EDGES``), as int64.
 
     Every utterance contributes its lexical word count to the bin of its
-    overlap percentage. Bin placement uses integer sample arithmetic, so
-    boundary cases are exact.
+    overlap percentage: bin i covers [20 * i, 20 * (i + 1)) percent, and
+    fully overlapped utterances (exactly 100%) land in the last bin. Bin
+    placement uses integer sample arithmetic, so boundary cases are exact.
     """
     counts = np.zeros(5, dtype=np.int64)
     for u in utterances:
@@ -484,6 +480,17 @@ def overlap_word_counts(utterances, activity: SessionActivity) -> np.ndarray:
     return counts
 
 
-def overlap_histogram(utterances, activity: SessionActivity) -> OverlapHistogram:
-    """Word-weighted distribution of utterance overlap (see ``overlap_word_counts``)."""
-    return OverlapHistogram.from_counts(overlap_word_counts(utterances, activity))
+def word_fractions(counts: np.ndarray) -> np.ndarray:
+    """Per-bin word counts normalised to fractions; zero words warn and
+    give zeros."""
+    total = counts.sum()
+    if total == 0:
+        logger.warning("overlap histogram over zero words, frequencies are zero")
+        return np.zeros(len(counts))
+    return counts / total
+
+
+def overlap_histogram(utterances, activity: SessionActivity) -> np.ndarray:
+    """Word-weighted distribution of utterance overlap: the fractions of
+    the five bins of ``overlap_word_counts``."""
+    return word_fractions(overlap_word_counts(utterances, activity))

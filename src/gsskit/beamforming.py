@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import Posterior
 from .signal import Spectrogram
 
 logger = logging.getLogger(__name__)
@@ -22,7 +21,6 @@ EPS_LOAD = 1e-6  # distortion-covariance diagonal loading, relative to the mean 
 
 __all__ = [
     "PsdSet",
-    "BeamformerWeights",
     "estimate_psds",
     "mvdr_souden",
     "select_reference",
@@ -39,7 +37,6 @@ class PsdSet:
     Attributes:
         target: (F, D, D) Hermitian covariance of the wanted speaker.
         distortion: (F, D, D) Hermitian covariance of everything else.
-        frame_count: number of frames the estimates are based on.
         target_fallback: (F,) bins where the target mask weight vanished
             and the estimate fell back to an unweighted average.
         distortion_fallback: (F,) same for the distortion mask.
@@ -47,22 +44,12 @@ class PsdSet:
 
     target: np.ndarray
     distortion: np.ndarray
-    frame_count: int
     target_fallback: np.ndarray
     distortion_fallback: np.ndarray
 
     @property
     def num_channels(self) -> int:
         return self.target.shape[-1]
-
-
-@dataclass(frozen=True)
-class BeamformerWeights:
-    """Beamforming vectors, shape (F, D), and the reference channel they
-    are anchored to."""
-
-    weights: np.ndarray
-    reference: int
 
 
 def _masked_covariance(obs: np.ndarray, mask: np.ndarray):
@@ -95,17 +82,15 @@ def _masked_covariance(obs: np.ndarray, mask: np.ndarray):
     return psd, fallback
 
 
-def estimate_psds(
-    spectrogram: Spectrogram, posterior: Posterior, target_class: int
-) -> PsdSet:
+def estimate_psds(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int) -> PsdSet:
     """Posterior-weighted target and distortion covariances.
 
-    The target mask is the posterior of ``target_class``; the distortion
-    mask pools every other class including noise. Frame counts of the
-    spectrogram and posterior must agree (both already trimmed to the
-    core span).
+    The target mask is the posterior ``gamma`` (K, T, F) of ``target_class``;
+    the distortion mask pools every other class including noise. Frame
+    counts of the spectrogram and posterior must agree (both already
+    trimmed to the core span).
     """
-    classes, frames, bins = posterior.gamma.shape
+    classes, frames, bins = gamma.shape
     if not 0 <= target_class < classes:
         raise ValueError(f"target_class {target_class} out of range for {classes} classes")
     if spectrogram.num_frames != frames or spectrogram.num_bins != bins:
@@ -114,18 +99,12 @@ def estimate_psds(
             f"do not match posterior {(frames, bins)}"
         )
     obs = spectrogram.bins.transpose(2, 1, 0)
-    target_mask = posterior.gamma[target_class].T
-    distortion_mask = posterior.gamma.sum(axis=0).T - target_mask
+    target_mask = gamma[target_class].T
+    distortion_mask = gamma.sum(axis=0).T - target_mask
 
     target, target_fb = _masked_covariance(obs, target_mask)
     distortion, distortion_fb = _masked_covariance(obs, distortion_mask)
-    return PsdSet(
-        target=target,
-        distortion=distortion,
-        frame_count=frames,
-        target_fallback=target_fb,
-        distortion_fallback=distortion_fb,
-    )
+    return PsdSet(target, distortion, target_fallback=target_fb, distortion_fallback=distortion_fb)
 
 
 def _loaded(psd: np.ndarray) -> np.ndarray:
@@ -156,8 +135,8 @@ def _souden_beamformers(psds: PsdSet) -> np.ndarray:
     return np.ascontiguousarray(weights.transpose(2, 0, 1))
 
 
-def mvdr_souden(psds: PsdSet, reference: int) -> BeamformerWeights:
-    """Distortionless beamformer from the covariance ratio.
+def mvdr_souden(psds: PsdSet, reference: int) -> np.ndarray:
+    """Distortionless beamformer weights (F, D) from the covariance ratio.
 
     Computes ``w = (Phi_nn^-1 Phi_xx / trace(Phi_nn^-1 Phi_xx)) e_ref``
     per bin, with relative diagonal loading on the distortion covariance.
@@ -167,7 +146,7 @@ def mvdr_souden(psds: PsdSet, reference: int) -> BeamformerWeights:
     dim = psds.num_channels
     if not 0 <= reference < dim:
         raise ValueError(f"reference channel {reference} out of range for {dim} channels")
-    return BeamformerWeights(weights=_souden_beamformers(psds)[reference], reference=reference)
+    return _souden_beamformers(psds)[reference]
 
 
 def _reference_scores(psds: PsdSet) -> np.ndarray:
@@ -189,40 +168,39 @@ def select_reference(psds: PsdSet) -> int:
     return int(np.argmax(_reference_scores(psds)))
 
 
-def ban_postfilter(weights: BeamformerWeights, psds: PsdSet) -> BeamformerWeights:
+def ban_postfilter(weights: np.ndarray, psds: PsdSet) -> np.ndarray:
     """Blind analytic normalisation of the beamformer gain.
 
-    Per bin the weights are scaled by
+    Per bin the (F, D) weights w are scaled by
     ``sqrt(w^H Phi_nn Phi_nn w / D) / (w^H Phi_nn w)`` so the filtered
     distortion keeps unit gain.
     """
     dim = psds.num_channels
-    w = weights.weights
-    filtered = np.einsum("fde,fe->fd", psds.distortion, w)
-    num = np.sqrt(np.einsum("fd,fd->f", w.conj(), np.einsum("fde,fe->fd", psds.distortion, filtered)).real / dim)
-    den = np.einsum("fd,fd->f", w.conj(), filtered).real
+    filtered = np.einsum("fde,fe->fd", psds.distortion, weights)
+    twice = np.einsum("fde,fe->fd", psds.distortion, filtered)
+    num = np.sqrt(np.einsum("fd,fd->f", weights.conj(), twice).real / dim)
+    den = np.einsum("fd,fd->f", weights.conj(), filtered).real
     gain = num / np.maximum(den, 1e-12)
-    return BeamformerWeights(weights=w * gain[:, None], reference=weights.reference)
+    return weights * gain[:, None]
 
 
-def apply_beamformer(spectrogram: Spectrogram, weights: BeamformerWeights) -> Spectrogram:
-    """Collapse the channel axis: out[t, f] = w[f]^H y[t, f]."""
-    if spectrogram.num_channels != weights.weights.shape[-1]:
+def apply_beamformer(spectrogram: Spectrogram, weights: np.ndarray) -> Spectrogram:
+    """Collapse the channel axis with (F, D) weights: out[t, f] = w[f]^H y[t, f]."""
+    if spectrogram.num_channels != weights.shape[-1]:
         raise ValueError(
-            f"beamformer has {weights.weights.shape[-1]} channels, "
+            f"beamformer has {weights.shape[-1]} channels, "
             f"spectrogram has {spectrogram.num_channels}"
         )
-    out = np.einsum("fd,dtf->tf", weights.weights.conj(), spectrogram.bins)
+    out = np.einsum("fd,dtf->tf", weights.conj(), spectrogram.bins)
     return Spectrogram(out[None], spectrogram.config, spectrogram.sample_rate)
 
 
-def apply_target_mask(
-    spectrogram: Spectrogram, posterior: Posterior, target_class: int
-) -> Spectrogram:
-    """Multiply a single-channel spectrogram with the raw target posterior."""
+def apply_target_mask(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int) -> Spectrogram:
+    """Multiply a single-channel spectrogram with the raw target posterior
+    of ``gamma`` (K, T, F)."""
     if spectrogram.num_channels != 1:
         raise ValueError("target masking expects a single-channel spectrogram")
-    classes, frames, bins = posterior.gamma.shape
+    classes, frames, bins = gamma.shape
     if not 0 <= target_class < classes:
         raise ValueError(f"target_class {target_class} out of range for {classes} classes")
     if (frames, bins) != spectrogram.bins.shape[1:]:
@@ -230,7 +208,5 @@ def apply_target_mask(
             f"posterior frames/bins {(frames, bins)} do not match "
             f"spectrogram {spectrogram.bins.shape[1:]}"
         )
-    mask = posterior.gamma[target_class]
-    return Spectrogram(
-        spectrogram.bins * mask[None], spectrogram.config, spectrogram.sample_rate
-    )
+    masked = spectrogram.bins * gamma[target_class][None]
+    return Spectrogram(masked, spectrogram.config, spectrogram.sample_rate)

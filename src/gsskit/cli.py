@@ -11,14 +11,14 @@ import numpy as np
 
 from .activity import (
     OVERLAP_BIN_EDGES,
-    OverlapHistogram,
     build_activity,
     overlap_word_counts,
     parse_annotations,
     parse_chime5_annotations,
+    word_fractions,
 )
 from .io import dump_json, load_json, read_wav, write_wav
-from .metrics import SeparationMetrics, si_sdr
+from .metrics import si_sdr
 from .pipeline import PipelineConfig, run_batch
 from .signal import Waveform
 from .simulate import simulate_scene
@@ -56,10 +56,11 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-def _histogram_rows(hist, prefix=""):
+def _histogram_rows(counts, prefix=""):
+    fractions = word_fractions(counts)
     return [
-        f"{prefix}{lo},{hi},{frequency:.6f}"
-        for lo, hi, frequency in zip(OVERLAP_BIN_EDGES, OVERLAP_BIN_EDGES[1:], hist.frequencies)
+        f"{prefix}{lo},{hi},{fraction:.6f}"
+        for lo, hi, fraction in zip(OVERLAP_BIN_EDGES, OVERLAP_BIN_EDGES[1:], fractions)
     ]
 
 
@@ -81,11 +82,9 @@ def _cmd_analyze_overlap(args) -> int:
     if args.per_session:
         lines = ["session_id,bin_lo,bin_hi,word_fraction"]
         for session, words in counts.items():
-            hist = OverlapHistogram.from_counts(words)
-            lines.extend(_histogram_rows(hist, prefix=f"{session},"))
+            lines.extend(_histogram_rows(words, prefix=f"{session},"))
     else:
-        pooled = OverlapHistogram.from_counts(sum(counts.values()))
-        lines = ["bin_lo,bin_hi,word_fraction", *_histogram_rows(pooled)]
+        lines = ["bin_lo,bin_hi,word_fraction", *_histogram_rows(sum(counts.values()))]
 
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -127,23 +126,17 @@ def _load_mono(path) -> np.ndarray:
 
 
 def _cmd_metrics(args) -> int:
-    est = _load_mono(args.est)
-    ref = _load_mono(args.ref)
-    if len(est) != len(ref):
-        logger.warning(
-            "length mismatch (%d vs %d samples), trimming", len(est), len(ref)
-        )
-        n = min(len(est), len(ref))
-        est, ref = est[:n], ref[:n]
-    baseline = None
-    if args.mix:
-        mix = _load_mono(args.mix)[: len(ref)]
-        baseline = si_sdr(mix, ref[: len(mix)])
-    result = SeparationMetrics(si_sdr_db=si_sdr(est, ref), baseline_db=baseline)
-    payload = {"si_sdr_db": result.si_sdr_db}
-    if baseline is not None:
-        payload["baseline_db"] = result.baseline_db
-        payload["improvement_db"] = result.improvement_db
+    signals = [_load_mono(path) for path in (args.est, args.ref, args.mix) if path]
+    lengths = [len(signal) for signal in signals]
+    n = min(lengths)
+    if max(lengths) != n:
+        logger.warning("length mismatch (%s samples), trimming to %d",
+                       " vs ".join(map(str, lengths)), n)
+    est, ref, *mix = (signal[:n] for signal in signals)
+    payload = {"si_sdr_db": si_sdr(est, ref)}
+    if mix:
+        payload["baseline_db"] = si_sdr(mix[0], ref)
+        payload["improvement_db"] = payload["si_sdr_db"] - payload["baseline_db"]
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -1,38 +1,20 @@
 """Separation quality measures against known references."""
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mixture import Posterior
 from .signal import StftConfig, Waveform, stft
 
 if TYPE_CHECKING:
     from .simulate import SyntheticScene
 
 __all__ = [
-    "SeparationMetrics",
     "si_sdr",
     "oracle_masks",
     "permutation_consistency",
 ]
-
-
-@dataclass(frozen=True)
-class SeparationMetrics:
-    """Scale-invariant SDR of an estimate, optionally with the unprocessed
-    baseline for an improvement figure."""
-
-    si_sdr_db: float
-    baseline_db: float | None = None
-
-    @property
-    def improvement_db(self) -> float | None:
-        if self.baseline_db is None:
-            return None
-        return self.si_sdr_db - self.baseline_db
 
 
 def _as_mono(signal) -> np.ndarray:
@@ -109,16 +91,16 @@ def oracle_masks(scene: "SyntheticScene", config: StftConfig) -> np.ndarray:
     return masks
 
 
-def permutation_consistency(posterior, oracle: np.ndarray) -> float:
-    """Agreement between posterior argmax and oracle class, maximised over
-    global speaker permutations.
+def permutation_consistency(gamma: np.ndarray, oracle: np.ndarray) -> float:
+    """Agreement between the argmax of posteriors ``gamma`` (K, T, F) and
+    the oracle class, maximised over global speaker permutations.
 
     Only bins the oracle assigns to a source count; the noise class is
     pinned, speaker classes may be relabelled by one permutation applied
     everywhere. 1.0 means the fitted classes are a pure relabelling of the
     oracle sources.
     """
-    gamma = posterior.gamma if isinstance(posterior, Posterior) else np.asarray(posterior)
+    gamma = np.asarray(gamma)
     if gamma.shape != oracle.shape:
         raise ValueError(
             f"posterior shape {gamma.shape} does not match oracle {oracle.shape}"

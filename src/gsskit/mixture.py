@@ -19,11 +19,9 @@ __all__ = [
     "DirectionalObservations",
     "ActivityMask",
     "MixtureParams",
-    "Posterior",
     "EmConfig",
     "normalize_observations",
     "em_fit",
-    "trim_context",
 ]
 
 
@@ -88,13 +86,6 @@ class MixtureParams:
 
     weights: np.ndarray
     shapes: np.ndarray
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Class posteriors gamma, shape (K, T, F)."""
-
-    gamma: np.ndarray
 
 
 EPS_LOAD = 1e-6  # shape-matrix diagonal loading, relative to the mean diagonal
@@ -387,8 +378,8 @@ def em_fit(
             the fit uses every frame either way.
 
     Returns:
-        (MixtureParams, Posterior), plus the likelihood trace when
-        requested.
+        (MixtureParams, class posteriors gamma (K, T, F) of ``frames``),
+        plus the likelihood trace when requested.
     """
     total, bins, dim = observations.units.shape
     if activity.num_frames != total:
@@ -414,20 +405,6 @@ def em_fit(
         gamma[lo:hi] = work[: hi - lo, :, keep.start:keep.stop]
         likelihoods += block_ll
 
-    params = MixtureParams(weights=weights, shapes=shapes)
-    posterior = Posterior(gamma=gamma.transpose(1, 2, 0))
-    if return_likelihoods:
-        return params, posterior, likelihoods
-    return params, posterior
+    fit = (MixtureParams(weights=weights, shapes=shapes), gamma.transpose(1, 2, 0))
+    return fit + (likelihoods,) if return_likelihoods else fit
 
-
-def trim_context(posterior: Posterior, core: range) -> Posterior:
-    """Drop context frames, keeping posteriors for the core span only."""
-    frames = posterior.gamma.shape[1]
-    start, stop = core.start, core.stop
-    if not 0 <= start < stop <= frames:
-        raise ValueError(
-            f"empty core segment: range [{start}, {stop}) is not a "
-            f"non-empty sub-range of {frames} frames"
-        )
-    return Posterior(gamma=posterior.gamma[:, start:stop, :])

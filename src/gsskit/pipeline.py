@@ -38,14 +38,8 @@ from .beamforming import (
     select_reference,
 )
 from .io import load_json, read_wav, utterance_filename, write_wav
-from .mixture import (
-    EmConfig,
-    Posterior,
-    em_fit,
-    normalize_observations,
-    trim_context,
-)
-from .signal import Spectrogram, StftConfig, Waveform, istft, num_frames, stft
+from .mixture import EmConfig, em_fit, normalize_observations
+from .signal import StftConfig, Waveform, istft, stft
 from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
@@ -154,18 +148,18 @@ def _section_kwargs(cls, raw, section: str) -> dict:
 @dataclass
 class EnhanceDetails:
     """Per-utterance diagnostics emitted alongside the enhanced signal;
-    ``posterior_core`` is a compact copy, not a view of the segment's."""
+    ``posterior_core`` is a compact (K, core frames, F) copy of the class
+    posteriors, not a view of the segment's."""
 
     reference_channel: int
     target_class: int
     core_frames: range
-    psd_frame_count: int
     wpe_applied: bool
     masking_applied: bool
     target_fallback_bins: int
     distortion_fallback_bins: int
     log_likelihoods: np.ndarray
-    posterior_core: Posterior
+    posterior_core: np.ndarray
 
 
 def stack_arrays(waveforms) -> Waveform:
@@ -263,21 +257,19 @@ def enhance_utterance(
 
     mask = activity_to_frames(activity, extended, config.stft)
     target_class = activity.class_of(utterance.speaker_id)
-    _, posterior, likelihoods = em_fit(observations, mask, config.em,
-                                       return_likelihoods=True, frames=synth)
+    _, gamma, likelihoods = em_fit(observations, mask, config.em,
+                                   return_likelihoods=True, frames=synth)
     del observations
-    core_local = range(core.start - synth.start, core.stop - synth.start)
-    posterior_core = trim_context(posterior, core_local)
-
-    core_spec = synth_spec.take_frames(core_local)
-    psds = estimate_psds(core_spec, posterior_core, target_class)
+    lo, hi = core.start - synth.start, core.stop - synth.start
+    core_spec = replace(synth_spec, bins=synth_spec.bins[:, lo:hi])
+    psds = estimate_psds(core_spec, gamma[:, lo:hi], target_class)
     reference = select_reference(psds)
     weights = ban_postfilter(mvdr_souden(psds, reference), psds)
     estimate = apply_beamformer(synth_spec, weights)
 
     masking_applied = False
     if config.masking_enabled:
-        estimate = apply_target_mask(estimate, posterior, target_class)
+        estimate = apply_target_mask(estimate, gamma, target_class)
         masking_applied = True
 
     # Synthesis offset: local position of the core start within the frame
@@ -292,13 +284,12 @@ def enhance_utterance(
         reference_channel=reference,
         target_class=target_class,
         core_frames=core,
-        psd_frame_count=psds.frame_count,
         wpe_applied=wpe_applied,
         masking_applied=masking_applied,
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,
-        posterior_core=Posterior(gamma=posterior_core.gamma.copy()),
+        posterior_core=gamma[:, lo:hi].copy(),
     )
     return out, details
 

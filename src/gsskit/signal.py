@@ -122,10 +122,6 @@ class Spectrogram:
     def num_bins(self) -> int:
         return self.bins.shape[2]
 
-    def take_frames(self, frames: range) -> "Spectrogram":
-        """Frame-axis slice keeping config and rate."""
-        return Spectrogram(self.bins[:, frames.start:frames.stop], self.config, self.sample_rate)
-
 
 def _analysis_window(config: StftConfig) -> np.ndarray:
     # Periodic Hann, so that window power sums tile exactly at integer

@@ -17,7 +17,6 @@ import pytest
 from gsskit import (
     SAMPLE_RATE,
     ActivityMask,
-    BeamformerWeights,
     DirectionalObservations,
     EmConfig,
     PipelineConfig,
@@ -49,9 +48,9 @@ from gsskit import (
     si_sdr,
     simulate_scene,
     stft,
-    trim_context,
     wpe_dereverberate,
 )
+from gsskit.activity import overlap_word_counts
 from gsskit.io import dump_json, write_wav
 
 
@@ -171,13 +170,13 @@ def test_guided_em_posterior_contract():
         rng = np.random.default_rng(seed)
         obs = random_observations(rng, frames, freqs, channels)
         mask = random_activity(rng, classes, frames)
-        _, post, lls = em_fit(
+        _, gamma, lls = em_fit(
             obs, mask, EmConfig(iterations=20), return_likelihoods=True
         )
 
-        np.testing.assert_allclose(post.gamma.sum(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(gamma.sum(axis=0), 1.0, atol=1e-9)
         inactive = ~mask.active
-        assert np.all(post.gamma[inactive] == 0.0)
+        assert np.all(gamma[inactive] == 0.0)
         assert lls.shape == (20,)
         rises = np.diff(lls)
         assert np.all(rises >= -1e-6 * np.abs(lls[:-1])), lls
@@ -214,15 +213,15 @@ def test_separation_is_permutation_consistent():
     target = next(u for u in utterances if u.speaker_id == "A")
     extended = extend_context(target, 15.0, scene.mixture.num_samples)
     mask = activity_to_frames(activity, extended, config)
-    _, posterior = em_fit(observations, mask, EmConfig(iterations=20))
+    _, gamma = em_fit(observations, mask, EmConfig(iterations=20))
 
     oracle = oracle_masks(scene, config)
-    consistency = permutation_consistency(posterior, oracle)
+    consistency = permutation_consistency(gamma, oracle)
     assert consistency >= 0.95, f"permutation consistency {consistency:.4f}"
 
     overlap = mask.active[activity.class_of("A")] & mask.active[activity.class_of("B")]
     assert overlap.any()
-    error = np.abs(posterior.gamma[:, overlap] - oracle[:, overlap]).mean()
+    error = np.abs(gamma[:, overlap] - oracle[:, overlap]).mean()
     assert error < 0.15, f"overlap mask agreement error {error:.4f}"
 
 
@@ -244,11 +243,10 @@ def test_mvdr_is_distortionless():
         psds = PsdSet(
             phi_xx[None],
             phi_nn[None],
-            frame_count=1,
             target_fallback=np.zeros(1, bool),
             distortion_fallback=np.zeros(1, bool),
         )
-        w = mvdr_souden(psds, reference).weights[0]
+        w = mvdr_souden(psds, reference)[0]
         response = np.vdot(w, d)
         assert abs(response - d[reference]) < 1e-8
 
@@ -268,13 +266,11 @@ def test_ban_gain_isotropic_case():
             psds = PsdSet(
                 np.eye(dim)[None].astype(complex),
                 (sigma**2 * np.eye(dim))[None].astype(complex),
-                frame_count=1,
                 target_fallback=np.zeros(1, bool),
                 distortion_fallback=np.zeros(1, bool),
             )
-            before = BeamformerWeights(w[None], reference=0)
-            after = ban_postfilter(before, psds)
-            gain = np.linalg.norm(after.weights[0])
+            after = ban_postfilter(w[None], psds)
+            gain = np.linalg.norm(after[0])
             assert abs(gain - 0.5) <= 1e-10, f"sigma {sigma}: gain {gain!r}"
 
 
@@ -321,7 +317,6 @@ def test_reference_selection_matches_brute_force():
         psds = PsdSet(
             target,
             distortion,
-            frame_count=10,
             target_fallback=np.zeros(freqs, bool),
             distortion_fallback=np.zeros(freqs, bool),
         )
@@ -434,8 +429,7 @@ def test_context_shapes_masks_not_psd_frames():
         observations = normalize_observations(stft(audio, config))
         extended = extend_context(target, 15.0, audio.num_samples)
         mask = activity_to_frames(activity, extended, config)
-        _, posterior = em_fit(observations, mask, EmConfig(iterations=10))
-        gammas[name] = posterior.gamma
+        gammas[name] = em_fit(observations, mask, EmConfig(iterations=10))[1]
     core = extended.core_frame_range(config)
 
     distractor = slice(int(3.5 * rate) // config.shift, int(5.0 * rate) // config.shift)
@@ -449,18 +443,12 @@ def test_context_shapes_masks_not_psd_frames():
         context_seconds=15.0,
         wpe_enabled=False,
     )
-    details_by_run = {}
-    for name, audio in (("quiet", quiet), ("loud", loud)):
+    for audio in (quiet, loud):
         _, details = enhance_utterance(
             target, audio, activity, pipeline_config, return_details=True
         )
-        details_by_run[name] = details
-        assert details.psd_frame_count == len(details.core_frames)
         assert details.core_frames == core
-    assert (
-        details_by_run["quiet"].psd_frame_count
-        == details_by_run["loud"].psd_frame_count
-    )
+        assert details.posterior_core.shape[1] == len(core)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +491,8 @@ def test_overlap_analytics_match_dense_oracle():
         expected = 100.0 * covered / utterance.duration_samples
         assert overlap_fraction(utterance, activity) == expected
         counts[min(covered * 5 // utterance.duration_samples, 4)] += len(utterance.words)
-    histogram = overlap_histogram(utterances, activity)
-    np.testing.assert_array_equal(histogram.word_counts, counts)
-    np.testing.assert_allclose(histogram.frequencies, counts / counts.sum())
+    np.testing.assert_array_equal(overlap_word_counts(utterances, activity), counts)
+    np.testing.assert_allclose(overlap_histogram(utterances, activity), counts / counts.sum())
 
     silences = {"A": [(0.2, 0.6), (2.0, 2.4)], "B": [(0.0, 1.1)]}
     refined = refine_with_asr(activity, silences)

@@ -24,6 +24,7 @@ from gsskit.activity import (
     format_time,
     intersect_intervals,
     merge_intervals,
+    overlap_word_counts,
     parse_time,
     subtract_intervals,
 )
@@ -300,6 +301,24 @@ def test_refine_with_asr_unknown_speaker_warns(caplog):
     assert any("Z" in record.message for record in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "silences, message",
+    [
+        ([["A", 0.2, 0.5]], "must be an object"),
+        ({"A": [[0.5]]}, "speaker A, span 0"),
+        ({"A": 3}, "speaker A must be a list"),
+        ({"A": [[0.1, 0.2], ["x", "y"]]}, "speaker A, span 1"),
+        ({"A": [[0.1, float("nan")]]}, "speaker A, span 0"),
+        ({"A": [[0.8, 0.2]]}, "speaker A, span 0"),
+    ],
+    ids=["list", "short-span", "not-a-list", "text-bounds", "nan-bound", "reversed"],
+)
+def test_refine_with_asr_rejects_malformed_silences(silences, message):
+    activity = build_activity([Utterance("S1", "A", 0, 16000, ())])
+    with pytest.raises(ValueError, match=message):
+        refine_with_asr(activity, silences)
+
+
 def test_extend_context_clips_to_session():
     u = Utterance("S1", "A", 16 * SAMPLE_RATE, 20 * SAMPLE_RATE, ())
     session = 120 * SAMPLE_RATE
@@ -420,7 +439,6 @@ def test_overlap_histogram_matches_dense_oracle():
             utts.append(Utterance("S1", speaker, start, end, words))
             cursor = end
     activity = build_activity(utts, session_seconds=5.0)
-    hist = overlap_histogram(utts, activity)
 
     counts = np.zeros(5, int)
     for u in utts:
@@ -432,18 +450,19 @@ def test_overlap_histogram_matches_dense_oracle():
         covered = int(others[u.start_samples : u.end_samples].sum())
         bin_index = min(covered * 5 // u.duration_samples, 4)
         counts[bin_index] += u.word_count
-    np.testing.assert_array_equal(hist.word_counts, counts)
+    np.testing.assert_array_equal(overlap_word_counts(utts, activity), counts)
     if counts.sum():
-        np.testing.assert_allclose(hist.frequencies, counts / counts.sum())
+        np.testing.assert_allclose(overlap_histogram(utts, activity), counts / counts.sum())
 
 
 def test_overlap_histogram_zero_words_warns(caplog):
     utts = [Utterance("S1", "A", 0, 16000, ())]
     activity = build_activity(utts)
     with caplog.at_level(logging.WARNING):
-        hist = overlap_histogram(utts, activity)
-    assert hist.word_counts.sum() == 0
-    np.testing.assert_array_equal(hist.frequencies, np.zeros(5))
+        fractions = overlap_histogram(utts, activity)
+    assert overlap_word_counts(utts, activity).sum() == 0
+    np.testing.assert_array_equal(fractions, np.zeros(5))
+    assert any("zero words" in record.message for record in caplog.records)
 
 
 def test_session_activity_canonicalizes_and_bounds():

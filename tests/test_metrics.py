@@ -3,7 +3,6 @@ import pytest
 
 from gsskit import (
     SAMPLE_RATE,
-    SeparationMetrics,
     StftConfig,
     Waveform,
     oracle_masks,
@@ -48,11 +47,6 @@ def test_si_sdr_errors():
         si_sdr(x, np.ones(99))
     with pytest.raises(ValueError, match="1-dim"):
         si_sdr(np.ones((2, 50)), np.ones((2, 50)))
-
-
-def test_separation_metrics_improvement():
-    metrics = SeparationMetrics(si_sdr_db=12.0, baseline_db=2.5)
-    assert metrics.improvement_db == 9.5
 
 
 def scene_for_masks():

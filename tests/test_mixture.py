@@ -9,12 +9,10 @@ from gsskit import (
     DirectionalObservations,
     EmConfig,
     MixtureParams,
-    Posterior,
     Spectrogram,
     StftConfig,
     em_fit,
     normalize_observations,
-    trim_context,
 )
 
 
@@ -102,8 +100,7 @@ def test_em_simplex_clamping_and_monotone_likelihood():
     rng = np.random.default_rng(1)
     obs = random_observations(rng, frames=60, freqs=9, channels=3)
     act = random_activity(rng, classes=3, frames=60)
-    _, post, lls = em_fit(obs, act, EmConfig(iterations=10), return_likelihoods=True)
-    gamma = post.gamma
+    _, gamma, lls = em_fit(obs, act, EmConfig(iterations=10), return_likelihoods=True)
     np.testing.assert_allclose(gamma.sum(axis=0), 1.0, atol=1e-9)
     assert np.all(gamma >= 0)
     inactive = ~act.active
@@ -130,8 +127,7 @@ def test_em_recovers_spatial_classes():
     active[0] = True
     active[1, :80] = True
     active[2, 60:] = True
-    _, post = em_fit(obs, ActivityMask(active), EmConfig(iterations=20))
-    gamma = post.gamma
+    _, gamma = em_fit(obs, ActivityMask(active), EmConfig(iterations=20))
     assert gamma[1, :60].mean() > 0.9
     assert gamma[2, 80:].mean() > 0.9
     assert gamma[1, 70:80].mean() < 0.2
@@ -142,9 +138,9 @@ def test_em_deterministic():
     rng = np.random.default_rng(3)
     obs = random_observations(rng, 40, 5, 3)
     act = random_activity(rng, 2, 40)
-    _, post1 = em_fit(obs, act, EmConfig(iterations=5))
-    _, post2 = em_fit(obs, act, EmConfig(iterations=5))
-    np.testing.assert_array_equal(post1.gamma, post2.gamma)
+    _, gamma1 = em_fit(obs, act, EmConfig(iterations=5))
+    _, gamma2 = em_fit(obs, act, EmConfig(iterations=5))
+    np.testing.assert_array_equal(gamma1, gamma2)
 
 
 def test_em_invalid_bins_get_uniform_posterior():
@@ -154,21 +150,9 @@ def test_em_invalid_bins_get_uniform_posterior():
     obs.valid[11, :] = False
     active = np.ones((2, 30), bool)
     active[1, 11] = False
-    _, post = em_fit(obs, ActivityMask(active), EmConfig(iterations=4))
-    np.testing.assert_allclose(post.gamma[:, 10, 2], [0.5, 0.5])
-    np.testing.assert_allclose(post.gamma[:, 11, 0], [1.0, 0.0])
-
-
-def test_trim_context():
-    gamma = np.random.default_rng(6).random((2, 20, 4))
-    gamma /= gamma.sum(axis=0, keepdims=True)
-    post = Posterior(gamma)
-    core = trim_context(post, range(5, 12))
-    np.testing.assert_array_equal(core.gamma, gamma[:, 5:12])
-    with pytest.raises(ValueError, match="empty core"):
-        trim_context(post, range(5, 5))
-    with pytest.raises(ValueError, match="core"):
-        trim_context(post, range(15, 25))
+    _, gamma = em_fit(obs, ActivityMask(active), EmConfig(iterations=4))
+    np.testing.assert_allclose(gamma[:, 10, 2], [0.5, 0.5])
+    np.testing.assert_allclose(gamma[:, 11, 0], [1.0, 0.0])
 
 
 # Reference implementation: the einsum formulation of the EM steps that the
@@ -245,7 +229,7 @@ def reference_em(observations, activity, config):
         gamma = np.where(valid[:, None, :], gamma, uniform)
         likelihoods[it] = np.sum(log_norm[:, 0, :], where=valid)
     params = MixtureParams(weights=weights, shapes=shapes)
-    return params, Posterior(gamma.transpose(1, 2, 0)), likelihoods
+    return params, gamma.transpose(1, 2, 0), likelihoods
 
 
 def seeded_case(seed, frames, freqs, channels, classes):
@@ -284,30 +268,30 @@ def test_em_fit_matches_einsum_reference(channels, classes, frames):
                            channels=channels, classes=classes)
     assert not obs.valid.all()
     config = EmConfig(iterations=8)
-    params, post, lls = em_fit(obs, act, config, return_likelihoods=True)
-    ref_params, ref_post, ref_lls = reference_em(obs, act, config)
+    params, gamma, lls = em_fit(obs, act, config, return_likelihoods=True)
+    ref_params, ref_gamma, ref_lls = reference_em(obs, act, config)
     np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
     np.testing.assert_allclose(params.shapes, ref_params.shapes, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(post.gamma, ref_post.gamma, rtol=1e-9, atol=1e-300)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-9, atol=1e-300)
     np.testing.assert_allclose(lls, ref_lls, rtol=1e-9, atol=0)
     # Inactive classes stay clamped to exactly zero.
     inactive = ~act.active
-    assert np.all(post.gamma[inactive.nonzero()[0], inactive.nonzero()[1]] == 0.0)
+    assert np.all(gamma[inactive.nonzero()[0], inactive.nonzero()[1]] == 0.0)
     assert np.all(np.diff(lls) >= -1e-9 * np.abs(lls[:-1])), lls
 
 
 def test_em_fit_likelihood_matches_reference_with_singular_shapes():
     obs, act = seeded_case(245, frames=70, freqs=6, channels=24, classes=5)
     config = EmConfig(iterations=8)
-    params, post, lls = em_fit(obs, act, config, return_likelihoods=True)
-    ref_params, ref_post, ref_lls = reference_em(obs, act, config)
+    params, gamma, lls = em_fit(obs, act, config, return_likelihoods=True)
+    ref_params, ref_gamma, ref_lls = reference_em(obs, act, config)
     eigen = np.linalg.eigvalsh(ref_params.shapes)
     assert (eigen[..., -1] / np.abs(eigen[..., 0])).max() > 1e12
     np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
     # Posteriors below about 1e-80 differ from the reference by up to 2e-7
     # of themselves through rounding alone, so they are compared as
     # probabilities.
-    np.testing.assert_allclose(post.gamma, ref_post.gamma, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(lls, ref_lls, rtol=1e-9, atol=0)
 
 
@@ -327,8 +311,7 @@ def invariance_case(seed=31, frames=60, freqs=7, channels=4, classes=3):
 
 
 def fitted_posterior(spec, active):
-    _, post = em_fit(normalize_observations(spec), ActivityMask(active), EmConfig(iterations=10))
-    return post.gamma
+    return em_fit(normalize_observations(spec), ActivityMask(active), EmConfig(iterations=10))[1]
 
 
 def test_em_fit_is_invariant_to_channel_order():
@@ -381,8 +364,8 @@ def test_em_bins_fit_independently():
     total = np.zeros(config.iterations)
     for lo, hi in ((0, 1), (1, 5), (5, 9)):
         part = DirectionalObservations(obs.units[:, lo:hi], obs.valid[:, lo:hi])
-        _, post, lls = em_fit(part, act, config, return_likelihoods=True)
-        np.testing.assert_allclose(post.gamma, whole.gamma[:, :, lo:hi], rtol=1e-12, atol=1e-300)
+        _, gamma, lls = em_fit(part, act, config, return_likelihoods=True)
+        np.testing.assert_allclose(gamma, whole[:, :, lo:hi], rtol=1e-12, atol=1e-300)
         total += lls
     np.testing.assert_allclose(total, whole_lls, rtol=1e-12)
 
@@ -393,7 +376,7 @@ def test_em_fit_returns_the_requested_frames():
     params, whole, lls = em_fit(obs, act, config, return_likelihoods=True)
     part_params, part, part_lls = em_fit(obs, act, config, return_likelihoods=True,
                                          frames=range(12, 31))
-    np.testing.assert_array_equal(part.gamma, whole.gamma[:, 12:31])
+    np.testing.assert_array_equal(part, whole[:, 12:31])
     np.testing.assert_array_equal(part_params.shapes, params.shapes)
     np.testing.assert_array_equal(part_lls, lls)
 

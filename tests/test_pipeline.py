@@ -189,8 +189,7 @@ def test_enhance_utterance_returns_core_audio():
     )
     assert out.samples.shape == (1, target.duration_samples)
     assert np.all(np.isfinite(out.samples))
-    assert details.psd_frame_count == len(details.core_frames)
-    assert details.posterior_core.gamma.shape[1] == len(details.core_frames)
+    assert details.posterior_core.shape[1] == len(details.core_frames)
     assert details.log_likelihoods.shape == (config.em.iterations,)
     assert np.all(np.isfinite(details.log_likelihoods))
     assert details.wpe_applied
@@ -212,7 +211,7 @@ def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
 
     def recording_em_fit(*args, **kwargs):
         result = em_fit(*args, **kwargs)
-        calls.append((args, result[1].gamma))
+        calls.append((args, result[1]))
         return result
 
     monkeypatch.setattr(pipeline, "em_fit", recording_em_fit)
@@ -223,11 +222,11 @@ def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
         utterances[0], scene.mixture, activity, fast_config(), return_details=True
     )
     (args, returned), = calls
-    core = details.posterior_core.gamma
+    core = details.posterior_core
     assert not np.shares_memory(core, returned)
     _, whole = em_fit(*args)
     np.testing.assert_array_equal(
-        core, whole.gamma[:, details.core_frames.start:details.core_frames.stop]
+        core, whole[:, details.core_frames.start:details.core_frames.stop]
     )
 
 
@@ -412,6 +411,16 @@ def test_run_batch_accepts_inline_and_file_silences(tmp_path):
     assert outputs["inline"] != outputs["none"]
 
 
+def test_run_batch_fails_the_session_on_malformed_silences(tmp_path):
+    manifest = write_session(tmp_path, small_scene())
+    dump_json({"A": [[0.8, 0.2]]}, tmp_path / "silences.json")
+    manifest["sessions"][0]["silences"] = str(tmp_path / "silences.json")
+    report = run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
+    (row,) = report["utterances"]
+    assert row["status"] == "failed" and "speaker A, span 0" in row["error"]
+    assert report["failures"] == 1
+
+
 def test_cli_simulate_enhance_metrics(tmp_path, capsys):
     scene_spec = {
         "session_id": "SYN6",
@@ -482,6 +491,27 @@ def test_cli_simulate_enhance_metrics(tmp_path, capsys):
     assert metrics["improvement_db"] == pytest.approx(
         metrics["si_sdr_db"] - metrics["baseline_db"]
     )
+
+
+def test_cli_metrics_scores_every_signal_over_the_common_span(tmp_path, capsys, caplog):
+    # The mixture is shorter than the estimate and the reference.
+    rng = np.random.default_rng(5)
+    ref = rng.uniform(-0.5, 0.5, 1200)
+    signals = {"est": ref + 0.1 * rng.uniform(-0.5, 0.5, 1200), "ref": ref,
+               "mix": ref[:900] + 0.4 * rng.uniform(-0.5, 0.5, 900)}
+    args = ["metrics"]
+    for name, signal in signals.items():
+        write_wav(tmp_path / f"{name}.wav", Waveform(signal[None], SAMPLE_RATE))
+        args += [f"--{name}", str(tmp_path / f"{name}.wav")]
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING):
+        assert cli_main(args) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    est, ref, mix = (read_wav(tmp_path / f"{name}.wav").samples[0, :900] for name in signals)
+    assert metrics["si_sdr_db"] == si_sdr(est, ref)
+    assert metrics["baseline_db"] == si_sdr(mix, ref)
+    assert metrics["improvement_db"] == metrics["si_sdr_db"] - metrics["baseline_db"]
+    assert len([r for r in caplog.records if "length mismatch" in r.message]) == 1
 
 
 def test_cli_analyze_overlap(tmp_path):

@@ -1,11 +1,12 @@
-"""The README's JSON examples, read by the code that reads such files."""
+"""The README's examples: the JSON read by the code that reads such files,
+and the Python API block run as it stands."""
 
 import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from gsskit import EmConfig, PipelineConfig, StftConfig, WpeConfig, simulate_scene
+from gsskit import EmConfig, PipelineConfig, StftConfig, WpeConfig, Waveform, simulate_scene
 from gsskit.pipeline import _check_entry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,12 @@ def test_readme_manifest_entries_pass_the_entry_check():
     assert isinstance(manifest["sessions"], list) and manifest["sessions"]
     for index, entry in enumerate(manifest["sessions"]):
         _check_entry(index, entry)
+
+
+def test_readme_python_api_runs():
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    names = {"spec": readme_block("sources")}
+    exec(code, names)
+    estimate, utterance = names["estimate"], names["utterances"][0]
+    assert isinstance(estimate, Waveform)
+    assert estimate.samples.shape == (1, utterance.duration_samples)

@@ -182,15 +182,6 @@ def test_istft_rejects_negative_length():
         istft(spec, -1)
 
 
-def test_take_frames():
-    rng = np.random.default_rng(6)
-    config = StftConfig(fft_size=64, shift=16)
-    spec = stft(Waveform(rng.standard_normal((2, 600)), 16000), config)
-    sub = spec.take_frames(range(3, 9))
-    np.testing.assert_array_equal(sub.bins, spec.bins[:, 3:9])
-    assert sub.config is spec.config
-
-
 def test_stft_linearity():
     rng = np.random.default_rng(8)
     config = StftConfig(fft_size=128, shift=32)

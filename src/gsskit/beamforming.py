@@ -10,6 +10,7 @@ gain of the filtered distortion.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,25 @@ class PsdSet:
     @property
     def num_channels(self) -> int:
         return self.target.shape[-1]
+
+    @cached_property
+    def _beamformers(self) -> np.ndarray:
+        """(D, F, D) beamformers of every candidate reference channel from
+        one solve, made on first use and shared by reference selection and
+        the MVDR, so degenerate bins are logged once. Entry r holds the
+        (F, D) weights of reference r, column r of the trace-normalised
+        ratio Phi_nn^-1 Phi_xx."""
+        ratio = np.linalg.solve(_loaded(self.distortion), self.target)
+        trace = np.einsum("fdd->f", ratio).real
+        degenerate = trace <= 1e-12
+        if np.any(degenerate):
+            logger.warning(
+                "degenerate target covariance in %d/%d bins, passing reference "
+                "channel through", int(degenerate.sum()), len(degenerate),
+            )
+        ratio = ratio / np.where(degenerate, 1.0, trace)[:, None, None]
+        weights = np.where(degenerate[:, None, None], np.eye(ratio.shape[-1]), ratio)
+        return np.ascontiguousarray(weights.transpose(2, 0, 1))
 
 
 def _masked_covariance(obs: np.ndarray, mask: np.ndarray):
@@ -116,25 +136,6 @@ def _loaded(psd: np.ndarray) -> np.ndarray:
     return psd + scale[..., None, None] * np.eye(dim)
 
 
-def _souden_beamformers(psds: PsdSet) -> np.ndarray:
-    """Beamformers of every candidate reference channel from one solve.
-
-    Returns (D, F, D); entry r holds the (F, D) weights of reference r,
-    column r of the trace-normalised ratio Phi_nn^-1 Phi_xx.
-    """
-    ratio = np.linalg.solve(_loaded(psds.distortion), psds.target)
-    trace = np.einsum("fdd->f", ratio).real
-    degenerate = trace <= 1e-12
-    if np.any(degenerate):
-        logger.warning(
-            "degenerate target covariance in %d/%d bins, passing reference "
-            "channel through", int(degenerate.sum()), len(degenerate),
-        )
-    ratio = ratio / np.where(degenerate, 1.0, trace)[:, None, None]
-    weights = np.where(degenerate[:, None, None], np.eye(ratio.shape[-1]), ratio)
-    return np.ascontiguousarray(weights.transpose(2, 0, 1))
-
-
 def mvdr_souden(psds: PsdSet, reference: int) -> np.ndarray:
     """Distortionless beamformer weights (F, D) from the covariance ratio.
 
@@ -146,12 +147,12 @@ def mvdr_souden(psds: PsdSet, reference: int) -> np.ndarray:
     dim = psds.num_channels
     if not 0 <= reference < dim:
         raise ValueError(f"reference channel {reference} out of range for {dim} channels")
-    return _souden_beamformers(psds)[reference]
+    return psds._beamformers[reference]
 
 
 def _reference_scores(psds: PsdSet) -> np.ndarray:
     """(D,) expected output SNR of each candidate reference channel."""
-    w = _souden_beamformers(psds)
+    w = psds._beamformers
     num = np.einsum("cfd,fde,cfe->cf", w.conj(), psds.target, w).real
     den = np.einsum("cfd,fde,cfe->cf", w.conj(), psds.distortion, w).real
     return np.mean(np.maximum(num, 0.0) / np.maximum(den, 1e-300), axis=1)

@@ -87,8 +87,9 @@ class PipelineConfig:
             raise ValueError(f"masking must be 'auto', 'on' or 'off', got {self.masking!r}")
         if self.track == "single" and len(self.arrays) > 1:
             raise ValueError("the single-array track takes exactly one array")
-        if not self.context_seconds >= 0:  # also turns NaN away
-            raise ValueError("context_seconds must be non-negative")
+        if not 0 <= self.context_seconds < np.inf:  # also turns NaN away
+            raise ValueError(f"context_seconds must be finite and non-negative, "
+                             f"got {self.context_seconds}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "arrays", tuple(self.arrays))
@@ -313,9 +314,10 @@ def _check_entry(index: int, entry) -> None:
         raise ValueError(f"{where}: 'annotations' must be the path of a JSON file")
     if not isinstance(entry.get("silences", {}), (dict, str, type(None))):
         raise ValueError(f"{where}: 'silences' must be an object or the path of a JSON file")
-    length = entry.get("length_seconds", 0.0)
-    if isinstance(length, bool) or not isinstance(length, (int, float)):
-        raise ValueError(f"{where}: 'length_seconds' must be a number")
+    length = entry.get("length_seconds", 1.0)  # absent: the audio's duration
+    if isinstance(length, bool) or not isinstance(length, (int, float)) or not 0 < length < np.inf:
+        raise ValueError(f"{where}: 'length_seconds' must be a number, finite and above 0, "
+                         f"got {length!r}")
 
 
 def _load_session(entry: dict, config: PipelineConfig):
@@ -355,6 +357,44 @@ def _load_session(entry: dict, config: PipelineConfig):
     return audio, utterances, activity
 
 
+def _run_session(index: int, entry, config: PipelineConfig) -> list:
+    """Report rows of manifest entry ``index``, in annotation order. Each
+    pool job enhances one utterance and writes its WAV, for the first row
+    of each file only; the session's audio is freed on return."""
+    session_id = entry.get("session_id") if isinstance(entry, dict) else None
+    try:
+        _check_entry(index, entry)
+        audio, utterances, activity = _load_session(entry, config)
+    except Exception as err:  # noqa: BLE001 - report and continue
+        logger.exception("loading session %s failed", session_id)
+        return [{"session_id": session_id, "status": "failed", "error": str(err)}]
+    first_row = {utterance_filename(u): u for u in reversed(utterances)}
+
+    def job(utterance):
+        path = Path(config.output_dir) / session_id / utterance_filename(utterance)
+        row = {"session_id": session_id, "speaker_id": utterance.speaker_id,
+               "start_time": format_time(utterance.start_samples),
+               "end_time": format_time(utterance.end_samples)}
+        if first_row[path.name] is not utterance:
+            error = f"duplicate annotation row: an earlier row of the session writes {path}"
+            logger.warning("%s", error)
+            return dict(row, status="failed", error=error)
+        try:
+            begin = time.perf_counter()
+            out, details = enhance_utterance(utterance, audio, activity, config, return_details=True)
+            elapsed = time.perf_counter() - begin
+            write_wav(path, out)
+        except Exception as err:  # noqa: BLE001 - report and continue
+            logger.exception("enhancement failed for %s at %s",
+                             utterance.speaker_id, format_time(utterance.start_samples))
+            return dict(row, status="failed", error=str(err))
+        return dict(row, status="ok", path=str(path), reference_channel=details.reference_channel,
+                    elapsed_seconds=round(elapsed, 3))
+
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(job, utterances))
+
+
 def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     """Enhance every annotated utterance listed in a manifest.
 
@@ -367,6 +407,12 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     one failed row carrying its ``session_id`` (None when there is none)
     and ``error``, and the batch goes on with the next one. A manifest
     that is not an object with a ``sessions`` list raises ValueError.
+
+    Each utterance's WAV is written as soon as it is enhanced, so a batch
+    holds one session's audio, the ``workers`` utterances in flight and
+    the report rows, not finished outputs. An annotation row repeating an
+    earlier one's output file (same speaker, start and end) is not
+    enhanced again; it is a failed row whose error names that file.
     """
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest must be an object, got {type(manifest).__name__}")
@@ -383,54 +429,7 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
         "failures": 0,
     }
     for index, entry in enumerate(manifest["sessions"]):
-        session_id = entry.get("session_id") if isinstance(entry, dict) else None
-        try:
-            _check_entry(index, entry)
-            audio, utterances, activity = _load_session(entry, config)
-        except Exception as err:  # noqa: BLE001 - report and continue
-            logger.exception("loading session %s failed", session_id)
-            report["utterances"].append(
-                {"session_id": session_id, "status": "failed", "error": str(err)}
-            )
-            report["failures"] += 1
-            continue
-
-        def job(utterance):
-            begin = time.perf_counter()
-            out, details = enhance_utterance(
-                utterance, audio, activity, config, return_details=True
-            )
-            # Keep only the reference channel: the posteriors in the
-            # details would stay alive until every utterance of the
-            # session is done.
-            return out, details.reference_channel, time.perf_counter() - begin
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(job, u) for u in utterances]
-
-        for utterance, future in zip(utterances, futures):
-            row = {
-                "session_id": session_id,
-                "speaker_id": utterance.speaker_id,
-                "start_time": format_time(utterance.start_samples),
-                "end_time": format_time(utterance.end_samples),
-            }
-            try:
-                out, reference, elapsed = future.result()
-                path = Path(config.output_dir) / session_id / utterance_filename(utterance)
-                write_wav(path, out)
-                row.update(
-                    status="ok",
-                    path=str(path),
-                    reference_channel=reference,
-                    elapsed_seconds=round(elapsed, 3),
-                )
-            except Exception as err:  # noqa: BLE001 - report and continue
-                logger.exception(
-                    "enhancement failed for %s at %s",
-                    utterance.speaker_id, format_time(utterance.start_samples),
-                )
-                row.update(status="failed", error=str(err))
-                report["failures"] += 1
-            report["utterances"].append(row)
+        rows = _run_session(index, entry, config)
+        report["utterances"] += rows
+        report["failures"] += sum(row["status"] == "failed" for row in rows)
     return report

@@ -14,7 +14,7 @@ from gsskit import (
     mvdr_souden,
     select_reference,
 )
-from gsskit.beamforming import _reference_scores, _souden_beamformers
+from gsskit.beamforming import _reference_scores
 
 
 def make_spec(bins):
@@ -225,7 +225,7 @@ def test_reference_scores_equal_a_per_channel_loop():
     for freqs, dim in ((1, 2), (5, 4), (33, 6), (9, 8), (17, 12)):
         psds = random_psd_set(rng, freqs=freqs, dim=dim)
         psds.target[0] = 0.0  # a degenerate bin takes the identity weights
-        beamformers = _souden_beamformers(psds)
+        beamformers = psds._beamformers
         loop = np.empty(dim)
         for channel in range(dim):
             w = beamformers[channel]

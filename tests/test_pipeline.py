@@ -89,8 +89,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(track="single", arrays=("U01", "U02"))
     with pytest.raises(ValueError, match="workers"):
         PipelineConfig(workers=0)
-    with pytest.raises(ValueError, match="context_seconds"):
-        PipelineConfig.from_dict(json.loads('{"context_seconds": NaN}'))
+    for value in ("NaN", "Infinity"):
+        with pytest.raises(ValueError, match="context_seconds"):
+            PipelineConfig.from_dict(json.loads(f'{{"context_seconds": {value}}}'))
     with pytest.raises(ValueError, match="masking"):
         PipelineConfig(masking="sometimes")
 
@@ -322,6 +323,20 @@ def test_enhance_utterance_silent_input_gives_silent_output(wpe_enabled):
             out = enhance_utterance(target, silent, activity, config)
         assert out.samples.shape == (1, target.duration_samples)
         assert np.all(out.samples == 0.0)
+
+
+def test_enhance_utterance_logs_degenerate_bins_once(caplog):
+    # Silent input leaves no target covariance in any bin; reference
+    # selection and the MVDR share one solve, so the line comes once.
+    scene = small_scene()
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    silent = Waveform(np.zeros_like(scene.mixture.samples), scene.mixture.sample_rate)
+    with caplog.at_level(logging.WARNING):
+        enhance_utterance(utterances[0], silent, activity, fast_config(wpe_enabled=False))
+    lines = [r.message for r in caplog.records if "degenerate target covariance" in r.message]
+    assert lines == ["degenerate target covariance in 257/257 bins, "
+                     "passing reference channel through"]
 
 
 def write_session(tmp_path, scene):
@@ -737,10 +752,13 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         dict(good, annotations=0),
         dict(good, audio={"U01": 2}),
         dict(good, silences=1),
+        dict(good, length_seconds=float("inf")),
+        dict(good, length_seconds=float("nan")),
+        dict(good, length_seconds=0),
         good,
     ]
     report = run_batch({"sessions": sessions}, fast_config(output_dir=str(tmp_path / "out")))
-    assert report["failures"] == 12
+    assert report["failures"] == 15
     *failed, ok_a, ok_b = report["utterances"]
     expected = [
         (None, "manifest entry 0: expected an object, got str"),
@@ -755,6 +773,12 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         (scene.session_id, "manifest entry 9: 'annotations' must be the path of a JSON file"),
         (scene.session_id, "manifest entry 10: 'audio' must be a non-empty object"),
         (scene.session_id, "manifest entry 11: 'silences' must be an object or the path"),
+        (scene.session_id, "manifest entry 12: 'length_seconds' must be a number, finite "
+                           "and above 0, got inf"),
+        (scene.session_id, "manifest entry 13: 'length_seconds' must be a number, finite "
+                           "and above 0, got nan"),
+        (scene.session_id, "manifest entry 14: 'length_seconds' must be a number, finite "
+                           "and above 0, got 0"),
     ]
     for row, (session_id, message) in zip(failed, expected):
         assert row["status"] == "failed"
@@ -948,6 +972,86 @@ def test_run_batch_keeps_no_utterance_tensors_until_the_session_ends(tmp_path):
     # One utterance at a time: about 30 MB. Holding the posteriors of the
     # finished utterances until the session ends took 78 MB.
     assert peak < 45e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def noise_sessions(root, session_ids, utterances, seconds=30.0):
+    """Manifest of sessions that share one WAV of 4-channel int16 noise,
+    each annotated with the first ``utterances`` of a row of one-second
+    turns of three speakers, one every 0.7 s."""
+    from gsskit.activity import format_time
+
+    rng = np.random.default_rng(3)
+    audio = Waveform(rng.normal(scale=0.05, size=(4, int(seconds * SAMPLE_RATE))), SAMPLE_RATE)
+    write_wav(root / "noise.wav", audio)
+    starts = [i * 7 * SAMPLE_RATE // 10 for i in range(utterances)]
+    rows = [{"session_id": session_id, "speaker_id": "ABC"[i % 3],
+             "start_time": format_time(start), "end_time": format_time(start + SAMPLE_RATE),
+             "words": "w"} for session_id in session_ids for i, start in enumerate(starts)]
+    dump_json(rows, root / "annotations.json")
+    return {"sessions": [{"session_id": session_id, "audio": {"U01": str(root / "noise.wav")},
+                          "annotations": str(root / "annotations.json")}
+                         for session_id in session_ids]}
+
+
+def run_batch_peak(manifest, config):
+    """tracemalloc peak of one run_batch call, after an untraced warm-up."""
+    import tracemalloc
+
+    run_batch(manifest, config)
+    tracemalloc.start()
+    try:
+        report = run_batch(manifest, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["failures"] == 0
+    return peak
+
+
+@pytest.fixture
+def lean_config(tmp_path):
+    from gsskit import EmConfig
+
+    return PipelineConfig(wpe_enabled=False, context_seconds=0.0, em=EmConfig(iterations=2),
+                          output_dir=str(tmp_path / "out"))
+
+
+def test_run_batch_frees_each_session_before_reading_the_next(tmp_path, lean_config):
+    # Holding one session's audio while the next loaded added 8.3 MB here.
+    one = run_batch_peak(noise_sessions(tmp_path, ["S1"], 10), lean_config)
+    two = run_batch_peak(noise_sessions(tmp_path, ["S1", "S2"], 10), lean_config)
+    assert two < one + 1e6, f"one session {one / 1e6:.1f} MB, two {two / 1e6:.1f} MB"
+
+
+def test_run_batch_holds_no_finished_outputs(tmp_path, lean_config):
+    # Holding every finished output until the session ended added 3.9 MB here.
+    ten = run_batch_peak(noise_sessions(tmp_path, ["S1"], 10), lean_config)
+    forty = run_batch_peak(noise_sessions(tmp_path, ["S1"], 40), lean_config)
+    assert forty < ten + 1e6, f"10 utterances {ten / 1e6:.1f} MB, 40 {forty / 1e6:.1f} MB"
+
+
+def test_run_batch_enhances_a_repeated_annotation_row_once(tiny_session, tmp_path, monkeypatch):
+    import gsskit.pipeline as pipeline
+    from gsskit.io import utterance_filename
+
+    _, good, config = tiny_session
+    doc = json.load(open(good["annotations"]))
+    dump_json(doc + [doc[0]], tmp_path / "annotations.json")
+    calls = []
+    enhance = pipeline.enhance_utterance
+    monkeypatch.setattr(pipeline, "enhance_utterance",
+                        lambda u, *args, **kw: calls.append(u) or enhance(u, *args, **kw))
+    config = replace(config, output_dir=str(tmp_path / "out"), workers=2)
+    report = run_batch({"sessions": [dict(good, annotations=str(tmp_path / "annotations.json"))]},
+                       config)
+    rows = report["utterances"]
+    assert report["failures"] == 1 and len(rows) == len(doc) + 1
+    path = tmp_path / "out" / good["session_id"] / "A-100_600.wav"
+    first, repeat = [row for row in rows if row["start_time"] == doc[0]["start_time"]]
+    assert first["status"] == "ok" and first["path"] == str(path)
+    assert repeat["status"] == "failed" and str(path) in repeat["error"]
+    assert "duplicate annotation row" in repeat["error"]
+    assert [utterance_filename(u) for u in calls].count(path.name) == 1
 
 
 def reference_stft(waveform, config):

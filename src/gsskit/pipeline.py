@@ -12,6 +12,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +151,7 @@ def _section_kwargs(cls, raw, section: str) -> dict:
 class EnhanceDetails:
     """Per-utterance diagnostics emitted alongside the enhanced signal;
     ``posterior_core`` is a compact (K, core frames, F) copy of the class
-    posteriors, not a view of the segment's."""
+    posteriors, not a view of the segment's, made on first access."""
 
     reference_channel: int
     target_class: int
@@ -160,7 +161,12 @@ class EnhanceDetails:
     target_fallback_bins: int
     distortion_fallback_bins: int
     log_likelihoods: np.ndarray
-    posterior_core: np.ndarray
+    _core_view: np.ndarray = field(repr=False)
+
+    @cached_property
+    def posterior_core(self) -> np.ndarray:
+        core, self._core_view = self._core_view.copy(), None
+        return core
 
 
 def stack_arrays(waveforms) -> Waveform:
@@ -290,7 +296,7 @@ def enhance_utterance(
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,
-        posterior_core=gamma[:, lo:hi].copy(),
+        _core_view=gamma[:, lo:hi],
     )
     return out, details
 

@@ -70,16 +70,23 @@ def wpe_dereverberate(
     Frames earlier than ``delay + taps`` have incomplete prediction history
     and are passed through unmodified. A zero observation stays zero.
 
-    Bins are processed in blocks. Each block holds one stacked tensor
-    (n, T - first, (taps + 1) * M), first = delay + taps: its first M
-    columns are the predicted frame itself, then come the history frames
-    t - delay, ..., t - delay - taps + 1, M channels each. Every iteration
-    scales it by 1 / sqrt(lambda) and takes a single real Gram of its
-    float64 view; that one product holds both the correlation of the
-    history columns and their cross-correlation with the frame. A block
-    has 2**16 // (T * (taps + 1) * M) bins (at least one), which keeps
-    the stacked tensor and its scaled real copy below 1 MB each unless a
-    single bin is larger.
+    Bins are processed in blocks of 2**16 // (T * (taps + 1) * M) bins (at
+    least one). Each block is gathered once into real planes (n, re/im, M,
+    T), frames last, and the history taps are a strided view of them.
+    Every iteration writes one real matrix per bin,
+
+        A = [tail re; history re; tail im; history im] / sqrt(lambda),
+
+    2 (taps + 1) M rows by T - delay - taps predicted frames. Its Gram
+    A A^T holds the real and imaginary parts of the history correlation
+    and of its cross-correlation with the predicted frame, two calls away
+    from the complex matrices the solve reads. The prediction error is
+    one product in the same scaled domain,
+
+        [I  -Fr^T  0  Fi^T; 0  -Fi^T  I  -Fr^T] @ A,
+
+    and is unscaled once, when it is written out. Every buffer of a block
+    stays below 1 MB unless a single bin is larger.
 
     Args:
         spectrogram: (M, T, F) input.
@@ -91,58 +98,95 @@ def wpe_dereverberate(
         and :class:`WpeDiagnostics` when requested.
     """
     channels, frames, bins = spectrogram.bins.shape
-    if frames <= config.delay + config.taps:
+    taps, delay = config.taps, config.delay
+    if frames <= delay + taps:
         raise ValueError(
             f"segment too short for dereverberation: {frames} frames, "
-            f"need more than delay + taps = {config.delay + config.taps}"
+            f"need more than delay + taps = {delay + taps}"
         )
 
-    order = channels * config.taps
-    first = config.delay + config.taps
+    order = channels * taps
+    first = delay + taps
+    span = frames - first
     width = order + channels
     output = spectrogram.bins.copy()
     objective = np.zeros(config.iterations)
-    eye = np.eye(order)
 
     block = max(1, 2 ** 16 // (frames * width))
-    stacked_buf = np.empty((block, frames - first, width), dtype=np.complex128)
-    scaled_buf = np.empty((block, frames - first, 2 * width))
+    planes = np.empty((block, 2, channels, frames))
+    scaled = np.empty((block, 2 * width, span))
+    gram = np.empty((block, 2 * width, 2 * width))
+    history_gram = np.empty((block, order, width), dtype=np.complex128)
+    predictor = np.zeros((block, 2 * channels, 2 * width))
+    error = np.empty((block, 2 * channels, span))
+
+    # History tap k (lag delay + k) of predicted frame first + j is frame
+    # taps - k + j; taps run oldest first here, so tap i reads frame 1 + i + j.
+    tail_in = planes[..., first:]
+    history_in = np.lib.stride_tricks.sliding_window_view(
+        planes[..., 1:frames - delay], span, axis=3).transpose(0, 1, 3, 2, 4)
+    rows = scaled.reshape(block, 2, width, span)
+    tail_out = rows[:, :, :channels]
+    history_out = rows[:, :, channels:].reshape(block, 2, taps, channels, span)
+    g = gram.reshape(block, 2, width, 2, width)[:, :, channels:]
+    cross, corr = history_gram[:, :, :channels], history_gram[:, :, channels:]
+    corr_diagonal = np.einsum("bii->bi", corr.real)
+    # The predictor's identity blocks are fixed. Its filter blocks are
+    # written through two diagonal views of its (row re/im, M, column
+    # re/im, width) quadrants: `same` is (re, re) and (im, im), `swapped`
+    # is (im, re) and then (re, im).
+    quads = predictor.reshape(block, 2, channels, 2, width)
+    np.einsum("bimic->bimc", quads[..., :channels])[...] = np.eye(channels)
+    same = np.einsum("bimic->bimc", quads[..., channels:])
+    swapped = np.einsum("bimic->bimc", quads[:, ::-1, :, :, channels:])
+    signs = np.array([-1.0, 1.0])[:, None, None]
+    out_planes = output.view(np.float64).reshape(channels, frames, bins, 2)
+
     for lo in range(0, bins, block):
-        obs = spectrogram.bins[:, :, lo:lo + block].transpose(2, 1, 0)
-        energy = np.mean(np.abs(obs) ** 2, axis=(1, 2))
+        n = min(block, bins - lo)
+        np.copyto(planes[:n].transpose(2, 3, 0, 1), out_planes[:, :, lo:lo + n])
+        # Per-frame power summed over channels.
+        power = np.einsum("bcmt,bcmt->bt", planes[:n], planes[:n])
+        energy = power.sum(axis=1) / (channels * frames)
         active = np.flatnonzero(energy > 0.0)
         if not active.size:
             continue
-        obs = obs[active]
-        stacked, scaled = stacked_buf[:len(active)], scaled_buf[:len(active)]
-        # Lags delay + k <= first - 1, so every history frame of a
-        # predicted frame lies inside the segment.
-        for k, lag in enumerate((0, *range(config.delay, first))):
-            stacked[:, :, k * channels:(k + 1) * channels] = obs[:, first - lag:frames - lag]
-        tail, history = stacked[:, :, :channels], stacked[:, :, channels:]
-        # The predicted frames' power summed over channels: divided by M it
-        # weighs the next iteration, as it stands it is this one's residual.
-        residual = np.sum(np.abs(tail) ** 2, axis=2)
-        floor = 1e-10 * energy[active]
+        cols = slice(lo, lo + n)
+        if active.size < n:
+            planes[:active.size] = planes[active]
+            power, energy, cols = power[active], energy[active], lo + active
+        n = active.size
+        # lambda is the channel mean of the predicted frames' power in the
+        # first iteration and of the prediction error's in the next ones.
+        residual = power[:, first:]
+        floor = 1e-10 * energy[:, None]
         ridge = None
         for it in range(config.iterations):
-            lam = np.maximum(residual / channels, floor[:, None])
-            # Complex Gram S^H S from the real Gram of the interleaved
-            # (re, im) view; numpy runs X^T X as a symmetric rank-k update.
-            np.multiply(stacked.view(np.float64), 1.0 / np.sqrt(lam)[:, :, None], out=scaled)
-            g = scaled.transpose(0, 2, 1) @ scaled
-            gram = (g[:, 0::2, 0::2] + g[:, 1::2, 1::2]) + 1j * (g[:, 0::2, 1::2] - g[:, 1::2, 0::2])
-            corr, cross = gram[:, channels:, channels:], gram[:, channels:, :channels]
+            lam = np.maximum(residual / channels, floor)
+            weight = (1.0 / np.sqrt(lam))[:, None, None, :]
+            np.multiply(tail_in[:n], weight, out=tail_out[:n])
+            np.multiply(history_in[:n], weight[:, None], out=history_out[:n])
+            # numpy runs A A^T as a symmetric rank-k update.
+            np.matmul(scaled[:n], scaled[:n].transpose(0, 2, 1), out=gram[:n])
+            np.add(g[:n, 0, :, 0], g[:n, 1, :, 1], out=history_gram[:n].real)
+            np.subtract(g[:n, 0, :, 1], g[:n, 1, :, 0], out=history_gram[:n].imag)
             if ridge is None:
-                ridge = RIDGE_EPS * np.trace(corr, axis1=1, axis2=2).real / order
-            filters = np.linalg.solve(corr + ridge[:, None, None] * eye, cross)
+                ridge = RIDGE_EPS * corr_diagonal[:n].sum(axis=1) / order
+            corr_diagonal[:n] += ridge[:, None]
+            filters = np.linalg.solve(corr[:n], cross[:n])
 
-            estimate = tail - history @ filters
-            residual = np.sum(np.abs(estimate) ** 2, axis=2)
-            objective[it] += np.sum(residual / lam + channels * np.log(lam))
-            objective[it] += np.sum(ridge * np.sum(np.abs(filters) ** 2, axis=(1, 2)))
+            transposed = filters.transpose(0, 2, 1)
+            np.negative(transposed.real[:, None], out=same[:n])
+            np.multiply(transposed.imag[:, None], signs, out=swapped[:n])
+            e = np.matmul(predictor[:n], scaled[:n], out=error[:n])
+            scaled_residual = np.einsum("brt,brt->bt", e, e)
+            residual = lam * scaled_residual
+            flat = filters.view(np.float64).reshape(n, -1)
+            objective[it] += (scaled_residual.sum() + channels * np.log(lam).sum()
+                              + np.vdot(flat * ridge[:, None], flat))
 
-        output[:, first:, lo + active] = estimate.transpose(2, 1, 0)
+        e *= np.sqrt(lam)[:, None, :]
+        out_planes[:, first:, cols] = e.reshape(n, 2, channels, span).transpose(2, 3, 0, 1)
 
     result = Spectrogram(output, spectrogram.config, spectrogram.sample_rate)
     if return_diagnostics:

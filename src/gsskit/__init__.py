@@ -49,6 +49,6 @@ from .pipeline import (
 )
 from .signal import Spectrogram, StftConfig, Waveform, istft, num_frames, stft
 from .simulate import SyntheticScene, simulate_scene
-from .wpe import WpeConfig, WpeDiagnostics, wpe_dereverberate
+from .wpe import WpeConfig, wpe_dereverberate
 
 __version__ = "0.1.0"

@@ -375,20 +375,10 @@ class ExtendedUtterance:
         return self.utterance.end_samples - self.context_start
 
     def core_frame_range(self, config: StftConfig) -> range:
-        """Frames whose span starts inside the core utterance.
-
-        Frame t of the extended segment nominally spans samples
-        [t * shift, t * shift + fft_size) in segment-local coordinates;
-        it belongs to the core when its span start falls in the core
-        interval. A sub-hop utterance still claims one frame.
-        """
+        """Frames of the extended segment whose span starts inside the
+        core utterance (:meth:`StftConfig.frame_range`)."""
         total = num_frames(self.num_samples, config)
-        start = -(-self.core_start_local // config.shift)
-        stop = min(-(-self.core_end_local // config.shift), total)
-        if stop <= start:
-            start = min(start, total - 1)
-            stop = start + 1
-        return range(start, stop)
+        return config.frame_range(self.core_start_local, self.core_end_local, total)
 
 
 def extend_context(
@@ -415,22 +405,19 @@ def activity_to_frames(
 ) -> ActivityMask:
     """Rasterise speaker activity onto the STFT frame grid of a segment.
 
-    A class is active in frame t when the frame's nominal span
-    [t * shift, t * shift + fft_size) (segment-local samples) intersects
-    one of its intervals. Row 0 (noise) is always active, and the target
-    utterance's speaker is forced active over its core span regardless of
-    the annotation union.
+    A class is active in the frames whose nominal span intersects one of
+    its intervals (:meth:`StftConfig.frames_touching`, segment-local
+    samples). Row 0 (noise) is always active, and the target utterance's
+    speaker is forced active over its core span regardless of the
+    annotation union.
     """
     total = num_frames(extended.num_samples, config)
     active = np.zeros((1 + len(activity.intervals), total), dtype=bool)
     active[0] = True
 
     def mark(row, start, end):
-        # Frames with t * shift + fft_size > start and t * shift < end.
-        lo = max(0, -(-(start - config.fft_size + 1) // config.shift))
-        hi = min(total, -(-end // config.shift))
-        if lo < hi:
-            active[row, lo:hi] = True
+        frames = config.frames_touching(start, end, total)
+        active[row, frames.start:frames.stop] = True
 
     lo_abs, hi_abs = extended.context_start, extended.context_end
     for speaker, intervals in activity.intervals.items():

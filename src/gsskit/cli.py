@@ -184,12 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Returns 0 on success, 1 when some utterances of a
     batch failed, and 2, after one ``gsskit: error:`` line on stderr, when
-    a config, manifest or other input is rejected as malformed."""
+    a config, manifest or other input is rejected as malformed or cannot
+    be read."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"gsskit: error: {err}", file=sys.stderr)
         return 2
 

@@ -357,7 +357,6 @@ def em_fit(
     observations: DirectionalObservations,
     activity: ActivityMask,
     config: EmConfig = EmConfig(),
-    return_likelihoods: bool = False,
     frames: range | None = None,
 ):
     """Fit the guided mixture model.
@@ -373,13 +372,12 @@ def em_fit(
         observations: (T, F, D) unit directions with validity mask.
         activity: (K, T) admissible classes per frame.
         config: EM schedule.
-        return_likelihoods: also return the per-iteration log-likelihood.
         frames: the frames whose posterior is returned, all by default;
             the fit uses every frame either way.
 
     Returns:
-        (MixtureParams, class posteriors gamma (K, T, F) of ``frames``),
-        plus the likelihood trace when requested.
+        (MixtureParams, class posteriors gamma (K, T, F) of ``frames``,
+        the per-iteration log-likelihood).
     """
     total, bins, dim = observations.units.shape
     if activity.num_frames != total:
@@ -405,6 +403,5 @@ def em_fit(
         gamma[lo:hi] = work[: hi - lo, :, keep.start:keep.stop]
         likelihoods += block_ll
 
-    fit = (MixtureParams(weights=weights, shapes=shapes), gamma.transpose(1, 2, 0))
-    return fit + (likelihoods,) if return_likelihoods else fit
+    return MixtureParams(weights=weights, shapes=shapes), gamma.transpose(1, 2, 0), likelihoods
 

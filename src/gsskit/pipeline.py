@@ -12,7 +12,6 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ class PipelineConfig:
             "single" works on exactly one array.
         arrays: array ids to use, in stacking order; empty means all
             arrays of the manifest entry in sorted order.
-        stft: analysis/synthesis parameters.
+        stft: analysis/synthesis parameters, a pair istft can invert.
         wpe: dereverberation parameters.
         wpe_enabled: skip dereverberation entirely when False.
         em: mixture model schedule.
@@ -93,6 +92,7 @@ class PipelineConfig:
                              f"got {self.context_seconds}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        self.stft.synthesis_weights()  # rejects an STFT that istft cannot invert
         object.__setattr__(self, "arrays", tuple(self.arrays))
 
     @property
@@ -150,8 +150,8 @@ def _section_kwargs(cls, raw, section: str) -> dict:
 @dataclass
 class EnhanceDetails:
     """Per-utterance diagnostics emitted alongside the enhanced signal;
-    ``posterior_core`` is a compact (K, core frames, F) copy of the class
-    posteriors, not a view of the segment's, made on first access."""
+    ``posterior_core`` is the (K, core frames, F) class posterior, a view
+    of the one EM returns for the core's synthesis frames."""
 
     reference_channel: int
     target_class: int
@@ -161,12 +161,7 @@ class EnhanceDetails:
     target_fallback_bins: int
     distortion_fallback_bins: int
     log_likelihoods: np.ndarray
-    _core_view: np.ndarray = field(repr=False)
-
-    @cached_property
-    def posterior_core(self) -> np.ndarray:
-        core, self._core_view = self._core_view.copy(), None
-        return core
+    posterior_core: np.ndarray = field(repr=False)
 
 
 def stack_arrays(waveforms) -> Waveform:
@@ -238,7 +233,7 @@ def enhance_utterance(
     wpe_applied = False
     if config.wpe_enabled:
         if spectrogram.num_frames > config.wpe.delay + config.wpe.taps:
-            spectrogram = wpe_dereverberate(spectrogram, config.wpe)
+            spectrogram, _ = wpe_dereverberate(spectrogram, config.wpe)
             wpe_applied = True
         else:
             logger.warning(
@@ -249,23 +244,16 @@ def enhance_utterance(
     observations = normalize_observations(spectrogram)
     core = extended.core_frame_range(config.stft)
     # Statistics come from core frames only, but synthesis needs guard
-    # frames on both sides: without them the overlap-add window sum tapers
-    # off inside the requested sample range and edge samples are produced
-    # from a lone window tail. Only these frames of the spectrogram are
-    # read from here on, so a compact copy of them replaces it, EM returns
+    # frames on both sides. Only these frames of the spectrogram are read
+    # from here on, so a compact copy of them replaces it, EM returns
     # their posterior only, and the observations go once it is fitted.
-    guard = -(-config.stft.fft_size // config.stft.shift)
-    synth = range(
-        max(0, core.start - guard),
-        min(spectrogram.num_frames, core.stop + guard),
-    )
+    synth = config.stft.synthesis_frames(core, spectrogram.num_frames)
     synth_spec = replace(spectrogram, bins=spectrogram.bins[:, synth.start:synth.stop].copy())
     del spectrogram
 
     mask = activity_to_frames(activity, extended, config.stft)
     target_class = activity.class_of(utterance.speaker_id)
-    _, gamma, likelihoods = em_fit(observations, mask, config.em,
-                                   return_likelihoods=True, frames=synth)
+    _, gamma, likelihoods = em_fit(observations, mask, config.em, frames=synth)
     del observations
     lo, hi = core.start - synth.start, core.stop - synth.start
     core_spec = replace(synth_spec, bins=synth_spec.bins[:, lo:hi])
@@ -279,11 +267,8 @@ def enhance_utterance(
         estimate = apply_target_mask(estimate, gamma, target_class)
         masking_applied = True
 
-    # Synthesis offset: local position of the core start within the frame
-    # grid of the synthesised subset (frame `synth.start` sits at grid
-    # position 0).
-    offset = config.stft.pad + extended.core_start_local - synth.start * config.stft.shift
-    out = istft(estimate, utterance.duration_samples, offset=max(0, offset))
+    offset = config.stft.synthesis_offset(extended.core_start_local, synth.start)
+    out = istft(estimate, utterance.duration_samples, offset=offset)
 
     if not return_details:
         return out
@@ -296,7 +281,7 @@ def enhance_utterance(
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,
-        _core_view=gamma[:, lo:hi],
+        posterior_core=gamma[:, lo:hi],
     )
     return out, details
 

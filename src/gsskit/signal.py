@@ -30,7 +30,9 @@ class StftConfig:
 
     Attributes:
         fft_size: DFT length in samples, must be even.
-        shift: hop between adjacent frames in samples, 0 < shift <= fft_size.
+        shift: hop between adjacent frames in samples, 0 < shift <= fft_size;
+            :func:`istft` also needs windows that overlap enough
+            (:meth:`synthesis_weights`).
     """
 
     fft_size: int = 1024
@@ -56,6 +58,60 @@ class StftConfig:
     def pad(self) -> int:
         """Samples of edge padding prepended (and appended) before framing."""
         return self.fft_size - self.shift
+
+    def frame_range(self, start: int, end: int, num_frames: int) -> range:
+        """Frames, of ``num_frames``, whose nominal span [t * shift,
+        t * shift + fft_size) starts in samples [start, end). The nominal
+        grid leaves out the ``pad`` that :func:`stft` prepends. A span
+        shorter than a hop still claims one frame."""
+        lo, hi = (-(-sample // self.shift) for sample in (start, end))
+        lo, hi = max(0, lo), min(hi, num_frames)
+        if hi <= lo:
+            lo = min(lo, num_frames - 1)
+            hi = lo + 1
+        return range(lo, hi)
+
+    def frames_touching(self, start: int, end: int, num_frames: int) -> range:
+        """Frames whose nominal span overlaps samples [start, end): those
+        starting in [start - fft_size + 1, end), a span of at least
+        fft_size >= shift samples, which never needs the sub-hop rule."""
+        return self.frame_range(start - self.fft_size + 1, end, num_frames)
+
+    def synthesis_frames(self, core: range, num_frames: int) -> range:
+        """``core`` plus ceil(fft_size / shift) guard frames on each side:
+        without them the overlap-add window sum tapers off inside the
+        core's samples, which then come from a lone window tail."""
+        guard = -(-self.fft_size // self.shift)
+        return range(max(0, core.start - guard), min(num_frames, core.stop + guard))
+
+    def synthesis_offset(self, sample: int, first_frame: int) -> int:
+        """The :func:`istft` ``offset`` of signal sample ``sample`` when
+        only the frames from ``first_frame`` on are synthesised."""
+        return self.pad + sample - first_frame * self.shift
+
+    def synthesis_weights(self) -> np.ndarray:
+        """Squared-window lattice sum over one hop period.
+
+        ``den[j] = sum_k window[j + k * shift] ** 2`` is the steady-state
+        overlap-add weight at offset j.
+
+        Raises:
+            ValueError: if some entry is near zero, so that some sample
+                positions are never observed and synthesis cannot be exact
+                ("reconstruction unsupported").
+        """
+        window = _analysis_window(self)
+        den = np.zeros(self.shift)
+        for start in range(0, len(window), self.shift):
+            chunk = window[start:start + self.shift] ** 2
+            den[: len(chunk)] += chunk
+        if den.min() <= 1e-6 * den.max():
+            raise ValueError(
+                f"reconstruction unsupported: window/shift pair "
+                f"(hann, {self.shift}/{self.fft_size}) does not cover "
+                f"all sample positions"
+            )
+        return den
 
 
 @dataclass(frozen=True)
@@ -172,20 +228,6 @@ def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     return Spectrogram(bins, config, waveform.sample_rate)
 
 
-def _overlap_denominator(window: np.ndarray, shift: int) -> np.ndarray:
-    """Squared-window lattice sum over one hop period.
-
-    ``den[j] = sum_k window[j + k * shift] ** 2`` is the steady-state
-    overlap-add weight at offset j. Near-zero entries mean some sample
-    positions are never observed and synthesis cannot be exact.
-    """
-    den = np.zeros(shift)
-    for start in range(0, len(window), shift):
-        chunk = window[start:start + shift] ** 2
-        den[: len(chunk)] += chunk
-    return den
-
-
 def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = None) -> Waveform:
     """Overlap-add synthesis back to the time domain.
 
@@ -200,27 +242,22 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
         target_length: number of output samples per channel.
         offset: sample index into the frame grid where the output starts.
             Defaults to ``config.pad``, which undoes the padding applied by
-            :func:`stft` for a spectrogram covering a whole signal. Pass an
-            explicit offset when synthesising from a frame subset.
+            :func:`stft` for a spectrogram covering a whole signal. For a
+            frame subset, :meth:`StftConfig.synthesis_offset` gives it.
 
     Raises:
         ValueError: if the window/shift pair loses sample positions
-            ("reconstruction unsupported").
+            ("reconstruction unsupported", see
+            :meth:`StftConfig.synthesis_weights`).
     """
     config = spectrogram.config
-    window = _analysis_window(config)
-    den = _overlap_denominator(window, config.shift)
-    if den.min() <= 1e-6 * den.max():
-        raise ValueError(
-            f"reconstruction unsupported: window/shift pair "
-            f"(hann, {config.shift}/{config.fft_size}) does not cover "
-            f"all sample positions"
-        )
+    den = config.synthesis_weights()
     if target_length < 0:
         raise ValueError(f"target_length must be non-negative, got {target_length}")
     if offset is None:
         offset = config.pad
 
+    window = _analysis_window(config)
     channels, frames, _ = spectrogram.bins.shape
     total = (frames - 1) * config.shift + config.fft_size if frames else config.fft_size
     acc = np.zeros((channels, total))

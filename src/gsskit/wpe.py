@@ -12,7 +12,7 @@ import numpy as np
 
 from .signal import Spectrogram
 
-__all__ = ["WpeConfig", "WpeDiagnostics", "wpe_dereverberate"]
+__all__ = ["WpeConfig", "wpe_dereverberate"]
 
 RIDGE_EPS = 1e-6  # correlation-matrix ridge, relative to its mean diagonal
 
@@ -44,26 +44,9 @@ class WpeConfig:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
 
 
-@dataclass
-class WpeDiagnostics:
-    """Per-iteration value of the prediction objective.
-
-    The objective is
-
-        sum_t ||output_t||^2 / lambda_t + M log lambda_t  +  ridge * ||G||^2
-
-    over predicted frames, evaluated after each filter update. The ridge
-    weight is frozen after the first power estimate, so every update is an
-    exact coordinate-descent step and the sequence is non-increasing.
-    """
-
-    objective: np.ndarray
-
-
 def wpe_dereverberate(
     spectrogram: Spectrogram,
     config: WpeConfig = WpeConfig(),
-    return_diagnostics: bool = False,
 ):
     """Suppress late reverberation in every channel of an STFT tensor.
 
@@ -91,11 +74,17 @@ def wpe_dereverberate(
     Args:
         spectrogram: (M, T, F) input.
         config: prediction geometry, see :class:`WpeConfig`.
-        return_diagnostics: also return the per-iteration objective.
 
     Returns:
-        Dereverberated Spectrogram of identical shape, or a tuple of that
-        and :class:`WpeDiagnostics` when requested.
+        (dereverberated Spectrogram of identical shape, per-iteration
+        objective). The objective is
+
+            sum_t ||output_t||^2 / lambda_t + M log lambda_t  +  ridge * ||G||^2
+
+        over predicted frames, evaluated after each filter update. The
+        ridge weight is frozen after the first power estimate, so every
+        update is an exact coordinate-descent step and the sequence is
+        non-increasing.
     """
     channels, frames, bins = spectrogram.bins.shape
     taps, delay = config.taps, config.delay
@@ -188,7 +177,4 @@ def wpe_dereverberate(
         e *= np.sqrt(lam)[:, None, :]
         out_planes[:, first:, cols] = e.reshape(n, 2, channels, span).transpose(2, 3, 0, 1)
 
-    result = Spectrogram(output, spectrogram.config, spectrogram.sample_rate)
-    if return_diagnostics:
-        return result, WpeDiagnostics(objective=objective)
-    return result
+    return Spectrogram(output, spectrogram.config, spectrogram.sample_rate), objective

@@ -100,7 +100,7 @@ def test_em_simplex_clamping_and_monotone_likelihood():
     rng = np.random.default_rng(1)
     obs = random_observations(rng, frames=60, freqs=9, channels=3)
     act = random_activity(rng, classes=3, frames=60)
-    _, gamma, lls = em_fit(obs, act, EmConfig(iterations=10), return_likelihoods=True)
+    _, gamma, lls = em_fit(obs, act, EmConfig(iterations=10))
     np.testing.assert_allclose(gamma.sum(axis=0), 1.0, atol=1e-9)
     assert np.all(gamma >= 0)
     inactive = ~act.active
@@ -127,7 +127,7 @@ def test_em_recovers_spatial_classes():
     active[0] = True
     active[1, :80] = True
     active[2, 60:] = True
-    _, gamma = em_fit(obs, ActivityMask(active), EmConfig(iterations=20))
+    _, gamma, _ = em_fit(obs, ActivityMask(active), EmConfig(iterations=20))
     assert gamma[1, :60].mean() > 0.9
     assert gamma[2, 80:].mean() > 0.9
     assert gamma[1, 70:80].mean() < 0.2
@@ -138,8 +138,8 @@ def test_em_deterministic():
     rng = np.random.default_rng(3)
     obs = random_observations(rng, 40, 5, 3)
     act = random_activity(rng, 2, 40)
-    _, gamma1 = em_fit(obs, act, EmConfig(iterations=5))
-    _, gamma2 = em_fit(obs, act, EmConfig(iterations=5))
+    _, gamma1, _ = em_fit(obs, act, EmConfig(iterations=5))
+    _, gamma2, _ = em_fit(obs, act, EmConfig(iterations=5))
     np.testing.assert_array_equal(gamma1, gamma2)
 
 
@@ -150,7 +150,7 @@ def test_em_invalid_bins_get_uniform_posterior():
     obs.valid[11, :] = False
     active = np.ones((2, 30), bool)
     active[1, 11] = False
-    _, gamma = em_fit(obs, ActivityMask(active), EmConfig(iterations=4))
+    _, gamma, _ = em_fit(obs, ActivityMask(active), EmConfig(iterations=4))
     np.testing.assert_allclose(gamma[:, 10, 2], [0.5, 0.5])
     np.testing.assert_allclose(gamma[:, 11, 0], [1.0, 0.0])
 
@@ -268,7 +268,7 @@ def test_em_fit_matches_einsum_reference(channels, classes, frames):
                            channels=channels, classes=classes)
     assert not obs.valid.all()
     config = EmConfig(iterations=8)
-    params, gamma, lls = em_fit(obs, act, config, return_likelihoods=True)
+    params, gamma, lls = em_fit(obs, act, config)
     ref_params, ref_gamma, ref_lls = reference_em(obs, act, config)
     np.testing.assert_allclose(params.weights, ref_params.weights, rtol=1e-9, atol=0)
     np.testing.assert_allclose(params.shapes, ref_params.shapes, rtol=1e-9, atol=1e-12)
@@ -283,7 +283,7 @@ def test_em_fit_matches_einsum_reference(channels, classes, frames):
 def test_em_fit_likelihood_matches_reference_with_singular_shapes():
     obs, act = seeded_case(245, frames=70, freqs=6, channels=24, classes=5)
     config = EmConfig(iterations=8)
-    params, gamma, lls = em_fit(obs, act, config, return_likelihoods=True)
+    params, gamma, lls = em_fit(obs, act, config)
     ref_params, ref_gamma, ref_lls = reference_em(obs, act, config)
     eigen = np.linalg.eigvalsh(ref_params.shapes)
     assert (eigen[..., -1] / np.abs(eigen[..., 0])).max() > 1e12
@@ -360,11 +360,11 @@ def test_em_bins_fit_independently():
     # traces of the subsets must add up to the full trace.
     obs, act = seeded_case(7, frames=40, freqs=9, channels=3, classes=3)
     config = EmConfig(iterations=5)
-    _, whole, whole_lls = em_fit(obs, act, config, return_likelihoods=True)
+    _, whole, whole_lls = em_fit(obs, act, config)
     total = np.zeros(config.iterations)
     for lo, hi in ((0, 1), (1, 5), (5, 9)):
         part = DirectionalObservations(obs.units[:, lo:hi], obs.valid[:, lo:hi])
-        _, gamma, lls = em_fit(part, act, config, return_likelihoods=True)
+        _, gamma, lls = em_fit(part, act, config)
         np.testing.assert_allclose(gamma, whole[:, :, lo:hi], rtol=1e-12, atol=1e-300)
         total += lls
     np.testing.assert_allclose(total, whole_lls, rtol=1e-12)
@@ -373,9 +373,8 @@ def test_em_bins_fit_independently():
 def test_em_fit_returns_the_requested_frames():
     obs, act = seeded_case(8, frames=50, freqs=9, channels=4, classes=3)
     config = EmConfig(iterations=4)
-    params, whole, lls = em_fit(obs, act, config, return_likelihoods=True)
-    part_params, part, part_lls = em_fit(obs, act, config, return_likelihoods=True,
-                                         frames=range(12, 31))
+    params, whole, lls = em_fit(obs, act, config)
+    part_params, part, part_lls = em_fit(obs, act, config, frames=range(12, 31))
     np.testing.assert_array_equal(part, whole[:, 12:31])
     np.testing.assert_array_equal(part_params.shapes, params.shapes)
     np.testing.assert_array_equal(part_lls, lls)

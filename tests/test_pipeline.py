@@ -147,6 +147,15 @@ def test_config_rejects_values_of_the_wrong_type(doc, message):
         PipelineConfig.from_dict(doc)
 
 
+def test_config_rejects_an_stft_that_istft_cannot_invert():
+    # Such a config would fail every utterance at its last stage; the
+    # window/shift pairs that lose sample positions are rejected up front.
+    for shift in (1007, 1010, 1024):
+        with pytest.raises(ValueError, match="^reconstruction unsupported"):
+            PipelineConfig.from_dict({"stft": {"fft_size": 1024, "shift": shift}})
+    assert PipelineConfig.from_dict({"stft": {"fft_size": 1024, "shift": 1006}}).stft.shift == 1006
+
+
 def test_config_takes_an_integer_for_a_number():
     config = PipelineConfig.from_dict(
         {"context_seconds": 2, "wpe_enabled": False, "arrays": ["U01", "U02"]}
@@ -205,7 +214,7 @@ def test_enhance_utterance_returns_core_audio():
     assert si_sdr(out.samples[0], ref) > si_sdr(base, ref) + 5.0
 
 
-def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
+def test_enhance_utterance_posterior_core_views_the_synthesis_frames(monkeypatch):
     from gsskit import pipeline
 
     calls = []
@@ -219,16 +228,53 @@ def test_enhance_utterance_posterior_core_is_a_compact_copy(monkeypatch):
     scene = small_scene()
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
+    config = fast_config()
     _, details = enhance_utterance(
-        utterances[0], scene.mixture, activity, fast_config(), return_details=True
+        utterances[0], scene.mixture, activity, config, return_details=True
     )
     (args, returned), = calls
-    core = details.posterior_core
-    assert not np.shares_memory(core, returned)
-    _, whole = em_fit(*args)
-    np.testing.assert_array_equal(
-        core, whole[:, details.core_frames.start:details.core_frames.stop]
-    )
+    core, frames = details.posterior_core, details.core_frames
+    _, whole, _ = em_fit(*args)
+    np.testing.assert_array_equal(core, whole[:, frames.start:frames.stop])
+    # The view pins EM's posterior of the synthesis frames only: the core
+    # and ceil(fft_size / shift) guard frames on each side of it.
+    assert np.shares_memory(core, returned)
+    guard = -(-config.stft.fft_size // config.stft.shift)
+    classes, _, bins = core.shape
+    assert core.base.size <= classes * (len(frames) + 2 * guard) * bins
+
+
+@pytest.mark.parametrize("fft_size, shift", [
+    (1024, 256), (512, 128), (64, 16), (200, 75), (1024, 768), (96, 40),
+])
+def test_enhance_utterance_synthesises_exactly_the_utterance_samples(
+    monkeypatch, fft_size, shift
+):
+    # A beamformer that passes channel 2 through, with no WPE and no mask,
+    # must give back channel 2 of the mixture over the utterance: a wrong
+    # synthesis offset shifts it, missing guard frames taper its edges.
+    from gsskit import EmConfig, StftConfig, pipeline
+
+    def channel_2(weights, psds):
+        passthrough = np.zeros_like(weights)
+        passthrough[:, 2] = 1.0
+        return passthrough
+
+    monkeypatch.setattr(pipeline, "ban_postfilter", channel_2)
+    scene = simulate_scene(README_SCENE, seed=7)
+    utterances = parse_annotations(scene.annotations)
+    activity = build_activity(utterances, scene.mixture.duration)
+    for context in (0.0, 0.37, 15.0):
+        config = PipelineConfig(
+            stft=StftConfig(fft_size=fft_size, shift=shift), wpe_enabled=False,
+            masking="off", em=EmConfig(iterations=1), context_seconds=context,
+        )
+        for u in utterances:
+            out = enhance_utterance(u, scene.mixture, activity, config)
+            np.testing.assert_allclose(
+                out.samples[0], scene.mixture.samples[2, u.start_samples:u.end_samples],
+                rtol=0, atol=1e-12, err_msg=f"context {context}, {u.speaker_id}",
+            )
 
 
 def test_enhance_utterance_single_track_masks():
@@ -810,6 +856,9 @@ def test_run_batch_rejects_a_manifest_without_a_sessions_list(
 @pytest.mark.parametrize("config, message", [
     ({"workers": 1.5}, "config.workers must be an integer, got float"),
     ({"em": {"iterations": 0}}, "iterations must be at least 1, got 0"),
+    ({"stft": {"fft_size": 256, "shift": 256}},
+     "reconstruction unsupported: window/shift pair (hann, 256/256) does not cover "
+     "all sample positions"),
 ])
 def test_cli_rejects_a_malformed_config_with_status_2(tiny_session, tmp_path, capsys,
                                                       config, message):
@@ -821,6 +870,20 @@ def test_cli_rejects_a_malformed_config_with_status_2(tiny_session, tmp_path, ca
                      "--output-dir", str(tmp_path / "cli")])
     assert code == 2
     assert capsys.readouterr().err == f"gsskit: error: {message}\n"
+
+
+def test_cli_reports_a_missing_input_file_with_status_2(tiny_session, tmp_path, capsys):
+    # Status 1 means that some utterances failed; an input that cannot be
+    # read is rejected like a malformed one, in one line.
+    _, entry, _ = tiny_session
+    absent = tmp_path / "absent.json"
+    code = cli_main(["enhance", "--manifest", str(absent), "--output-dir", str(tmp_path / "cli")])
+    assert code == 2
+    assert re.fullmatch(r"gsskit: error: .*No such file.*absent\.json'\n", capsys.readouterr().err)
+    code = cli_main(["metrics", "--est", str(tmp_path / "absent.wav"),
+                     "--ref", entry["audio"]["U01"]])
+    assert code == 2
+    assert re.fullmatch(r"gsskit: error: .*No such file.*absent\.wav'\n", capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")

@@ -80,6 +80,24 @@ def test_num_frames_matches_walk_oracle():
             assert num_frames(int(length), config) == frame_count_oracle(int(length), config)
 
 
+@pytest.mark.parametrize("fft_size, shift", [(64, 16), (200, 75), (96, 40), (32, 32)])
+def test_frame_maps_match_span_oracles(fft_size, shift):
+    # Frame t nominally spans samples [t * shift, t * shift + fft_size).
+    config = StftConfig(fft_size=fft_size, shift=shift)
+    rng = np.random.default_rng(fft_size + shift)
+    for _ in range(300):
+        length = int(rng.integers(1, 1500))
+        total = num_frames(length, config)
+        start = int(rng.integers(0, length))
+        end = int(rng.integers(start + 1, length + 1))
+        starting = [t for t in range(total) if start <= t * shift < end]
+        if not starting:  # a sub-hop span claims the next frame, or the last
+            starting = [next((t for t in range(total) if t * shift >= start), total - 1)]
+        touching = [t for t in range(total) if t * shift < end and start < t * shift + fft_size]
+        assert config.frame_range(start, end, total) == range(starting[0], starting[-1] + 1)
+        assert config.frames_touching(start, end, total) == range(touching[0], touching[-1] + 1)
+
+
 def test_num_frames_rejects_empty():
     with pytest.raises(ValueError, match="empty signal"):
         num_frames(0, StftConfig())

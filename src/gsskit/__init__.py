@@ -10,7 +10,6 @@ end-to-end evaluation.
 
 from .activity import (
     SAMPLE_RATE,
-    ExtendedUtterance,
     SessionActivity,
     Utterance,
     activity_to_frames,

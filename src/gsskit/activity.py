@@ -23,7 +23,6 @@ SAMPLE_RATE = 16000
 __all__ = [
     "SAMPLE_RATE",
     "Utterance",
-    "ExtendedUtterance",
     "SessionActivity",
     "OVERLAP_BIN_EDGES",
     "parse_time",
@@ -76,17 +75,15 @@ def parse_time(text: str) -> int:
 
 
 def format_time(samples: int) -> str:
-    """Inverse of :func:`parse_time` for sample counts on the centisecond
-    grid."""
+    """Inverse of :func:`parse_time`: "H:MM:SS.ff" on the centisecond grid,
+    and as many of the seven fractional digits a sample needs off it."""
     if samples < 0:
         raise ValueError(f"negative sample index {samples}")
-    centis, rem = divmod(samples * 100, SAMPLE_RATE)
-    if rem:
-        raise ValueError(f"sample index {samples} is not on the centisecond grid")
-    seconds, cc = divmod(centis, 100)
+    seconds, rem = divmod(samples, SAMPLE_RATE)
     minutes, ss = divmod(seconds, 60)
     hh, mm = divmod(minutes, 60)
-    return f"{hh}:{mm:02d}:{ss:02d}.{cc:02d}"
+    frac = f"{rem * 10 ** 7 // SAMPLE_RATE:07d}".rstrip("0").ljust(2, "0")
+    return f"{hh}:{mm:02d}:{ss:02d}.{frac}"
 
 
 def _lexical_tokens(transcript: str) -> tuple:
@@ -346,45 +343,9 @@ def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivit
     )
 
 
-@dataclass(frozen=True)
-class ExtendedUtterance:
-    """An utterance plus the symmetric context window around it, clipped to
-    the session. Boundaries are absolute sample indices."""
-
-    utterance: Utterance
-    context_start: int
-    context_end: int
-
-    def __post_init__(self):
-        if not (
-            0 <= self.context_start <= self.utterance.start_samples
-            and self.utterance.end_samples <= self.context_end
-        ):
-            raise ValueError("context window must contain the utterance")
-
-    @property
-    def num_samples(self) -> int:
-        return self.context_end - self.context_start
-
-    @property
-    def core_start_local(self) -> int:
-        return self.utterance.start_samples - self.context_start
-
-    @property
-    def core_end_local(self) -> int:
-        return self.utterance.end_samples - self.context_start
-
-    def core_frame_range(self, config: StftConfig) -> range:
-        """Frames of the extended segment whose span starts inside the
-        core utterance (:meth:`StftConfig.frame_range`)."""
-        total = num_frames(self.num_samples, config)
-        return config.frame_range(self.core_start_local, self.core_end_local, total)
-
-
-def extend_context(
-    utterance: Utterance, context_seconds: float, session_samples: int
-) -> ExtendedUtterance:
-    """Symmetric context window, clipped to the recording bounds."""
+def extend_context(utterance: Utterance, context_seconds: float, session_samples: int) -> range:
+    """The utterance's segment: absolute samples [start, stop) of a
+    symmetric context window around it, clipped to the recording bounds."""
     if context_seconds < 0:
         raise ValueError(f"context must be non-negative, got {context_seconds}s")
     if utterance.end_samples > session_samples:
@@ -393,42 +354,41 @@ def extend_context(
             f"session length {session_samples}"
         )
     context = int(round(context_seconds * SAMPLE_RATE))
-    return ExtendedUtterance(
-        utterance=utterance,
-        context_start=max(0, utterance.start_samples - context),
-        context_end=min(session_samples, utterance.end_samples + context),
-    )
+    return range(max(0, utterance.start_samples - context),
+                 min(session_samples, utterance.end_samples + context))
 
 
 def activity_to_frames(
-    activity: SessionActivity, extended: ExtendedUtterance, config: StftConfig
+    activity: SessionActivity, utterance: Utterance, segment: range, config: StftConfig
 ) -> ActivityMask:
-    """Rasterise speaker activity onto the STFT frame grid of a segment.
+    """Rasterise speaker activity onto the STFT frame grid of ``segment``,
+    the absolute samples the spectrogram was taken of (:func:`extend_context`).
 
     A class is active in the frames whose nominal span intersects one of
     its intervals (:meth:`StftConfig.frames_touching`, segment-local
-    samples). Row 0 (noise) is always active, and the target utterance's
-    speaker is forced active over its core span regardless of the
+    samples). Row 0 (noise) is always active, and the speaker of
+    ``utterance`` is forced active over its core span regardless of the
     annotation union.
     """
-    total = num_frames(extended.num_samples, config)
+    if not (segment.step == 1 and 0 <= segment.start <= utterance.start_samples
+            and utterance.end_samples <= segment.stop):
+        raise ValueError("segment must be a contiguous sample range that contains the utterance")
+    total = num_frames(len(segment), config)
     active = np.zeros((1 + len(activity.intervals), total), dtype=bool)
     active[0] = True
 
     def mark(row, start, end):
-        frames = config.frames_touching(start, end, total)
+        frames = config.frames_touching(start - segment.start, end - segment.start, total)
         active[row, frames.start:frames.stop] = True
 
-    lo_abs, hi_abs = extended.context_start, extended.context_end
     for speaker, intervals in activity.intervals.items():
         row = activity.class_of(speaker)
         for a, b in intervals:
-            a, b = max(a, lo_abs), min(b, hi_abs)
+            a, b = max(a, segment.start), min(b, segment.stop)
             if a < b:
-                mark(row, a - lo_abs, b - lo_abs)
+                mark(row, a, b)
 
-    target = activity.class_of(extended.utterance.speaker_id)
-    mark(target, extended.core_start_local, extended.core_end_local)
+    mark(activity.class_of(utterance.speaker_id), utterance.start_samples, utterance.end_samples)
     return ActivityMask(active=active)
 
 

@@ -7,8 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .activity import (
     OVERLAP_BIN_EDGES,
     build_activity,
@@ -118,15 +116,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_mono(path) -> np.ndarray:
+def _load_mono(path) -> Waveform:
     wave = read_wav(path)
     if wave.num_channels > 1:
         logger.warning("%s has %d channels, using the first", path, wave.num_channels)
-    return wave.samples[0]
+    return wave
 
 
 def _cmd_metrics(args) -> int:
-    signals = [_load_mono(path) for path in (args.est, args.ref, args.mix) if path]
+    paths = [path for path in (args.est, args.ref, args.mix) if path]
+    waves = [_load_mono(path) for path in paths]
+    if len({wave.sample_rate for wave in waves}) > 1:
+        raise ValueError("signals differ in sample rate: " + ", ".join(
+            f"{path} at {wave.sample_rate} Hz" for path, wave in zip(paths, waves)))
+    signals = [wave.samples[0] for wave in waves]
     lengths = [len(signal) for signal in signals]
     n = min(lengths)
     if max(lengths) != n:

@@ -223,13 +223,11 @@ def enhance_utterance(
     if audio.num_channels < 2:
         raise ValueError("enhancement needs a multi-channel recording")
     _require_annotation_rate(audio.sample_rate, "audio")
-    extended = extend_context(utterance, config.context_seconds, audio.num_samples)
-    segment = Waveform(
-        audio.samples[:, extended.context_start:extended.context_end],
-        audio.sample_rate,
+    segment = extend_context(utterance, config.context_seconds, audio.num_samples)
+    start = utterance.start_samples - segment.start  # of the utterance, within the segment
+    spectrogram = stft(
+        Waveform(audio.samples[:, segment.start:segment.stop], audio.sample_rate), config.stft
     )
-
-    spectrogram = stft(segment, config.stft)
     wpe_applied = False
     if config.wpe_enabled:
         if spectrogram.num_frames > config.wpe.delay + config.wpe.taps:
@@ -242,7 +240,8 @@ def enhance_utterance(
             )
 
     observations = normalize_observations(spectrogram)
-    core = extended.core_frame_range(config.stft)
+    core = config.stft.frame_range(start, start + utterance.duration_samples,
+                                   spectrogram.num_frames)
     # Statistics come from core frames only, but synthesis needs guard
     # frames on both sides. Only these frames of the spectrogram are read
     # from here on, so a compact copy of them replaces it, EM returns
@@ -251,7 +250,7 @@ def enhance_utterance(
     synth_spec = replace(spectrogram, bins=spectrogram.bins[:, synth.start:synth.stop].copy())
     del spectrogram
 
-    mask = activity_to_frames(activity, extended, config.stft)
+    mask = activity_to_frames(activity, utterance, segment, config.stft)
     target_class = activity.class_of(utterance.speaker_id)
     _, gamma, likelihoods = em_fit(observations, mask, config.em, frames=synth)
     del observations
@@ -267,7 +266,7 @@ def enhance_utterance(
         estimate = apply_target_mask(estimate, gamma, target_class)
         masking_applied = True
 
-    offset = config.stft.synthesis_offset(extended.core_start_local, synth.start)
+    offset = config.stft.synthesis_offset(start, synth.start)
     out = istft(estimate, utterance.duration_samples, offset=offset)
 
     if not return_details:

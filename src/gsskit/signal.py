@@ -248,7 +248,8 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
     Raises:
         ValueError: if the window/shift pair loses sample positions
             ("reconstruction unsupported", see
-            :meth:`StftConfig.synthesis_weights`).
+            :meth:`StftConfig.synthesis_weights`), or if ``target_length``
+            or ``offset`` is negative.
     """
     config = spectrogram.config
     den = config.synthesis_weights()
@@ -256,6 +257,8 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
         raise ValueError(f"target_length must be non-negative, got {target_length}")
     if offset is None:
         offset = config.pad
+    if offset < 0:
+        raise ValueError(f"offset must be non-negative, got {offset}")
 
     window = _analysis_window(config)
     channels, frames, _ = spectrogram.bins.shape

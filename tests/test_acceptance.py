@@ -208,8 +208,8 @@ def test_separation_is_permutation_consistent():
 
     observations = normalize_observations(stft(scene.mixture, config))
     target = next(u for u in utterances if u.speaker_id == "A")
-    extended = extend_context(target, 15.0, scene.mixture.num_samples)
-    mask = activity_to_frames(activity, extended, config)
+    segment = extend_context(target, 15.0, scene.mixture.num_samples)
+    mask = activity_to_frames(activity, target, segment, config)
     _, gamma, _ = em_fit(observations, mask, EmConfig(iterations=20))
 
     oracle = oracle_masks(scene, config)
@@ -424,10 +424,11 @@ def test_context_shapes_masks_not_psd_frames():
     gammas = {}
     for name, audio in (("quiet", quiet), ("loud", loud)):
         observations = normalize_observations(stft(audio, config))
-        extended = extend_context(target, 15.0, audio.num_samples)
-        mask = activity_to_frames(activity, extended, config)
+        segment = extend_context(target, 15.0, audio.num_samples)
+        mask = activity_to_frames(activity, target, segment, config)
         gammas[name] = em_fit(observations, mask, EmConfig(iterations=10))[1]
-    core = extended.core_frame_range(config)
+    start = target.start_samples - segment.start
+    core = config.frame_range(start, start + target.duration_samples, mask.active.shape[1])
 
     distractor = slice(int(3.5 * rate) // config.shift, int(5.0 * rate) // config.shift)
     difference = np.abs(gammas["quiet"] - gammas["loud"])

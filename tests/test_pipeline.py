@@ -244,6 +244,36 @@ def test_enhance_utterance_posterior_core_views_the_synthesis_frames(monkeypatch
     assert core.base.size <= classes * (len(frames) + 2 * guard) * bins
 
 
+def test_enhance_utterance_core_frames_match_span_oracle():
+    # The core is the frames of the context-extended segment whose nominal
+    # span [t * shift, t * shift + fft_size) starts inside the utterance; a
+    # sub-hop utterance still claims one frame.
+    from gsskit import EmConfig, StftConfig
+    from gsskit.signal import num_frames
+
+    rng = np.random.default_rng(2)
+    length = 5000
+    audio = Waveform(rng.standard_normal((2, length)), SAMPLE_RATE)
+    config = PipelineConfig(stft=StftConfig(fft_size=64, shift=16), wpe_enabled=False,
+                            em=EmConfig(iterations=1))
+    shift = config.stft.shift
+    for _ in range(40):
+        start = int(rng.integers(0, 3000))
+        u = Utterance("S1", "A", start, start + int(rng.integers(1, 2000)), ())
+        context = int(rng.integers(0, 500))
+        _, details = enhance_utterance(
+            u, audio, build_activity([u], length / SAMPLE_RATE),
+            replace(config, context_seconds=context / SAMPLE_RATE), return_details=True,
+        )
+        first = max(0, u.start_samples - context)
+        total = num_frames(min(length, u.end_samples + context) - first, config.stft)
+        lo, hi = u.start_samples - first, u.end_samples - first
+        starting = [t for t in range(total) if lo <= t * shift < hi]
+        if not starting:
+            starting = [next((t for t in range(total) if t * shift >= lo), total - 1)]
+        assert details.core_frames == range(starting[0], starting[-1] + 1), (u, context)
+
+
 @pytest.mark.parametrize("fft_size, shift", [
     (1024, 256), (512, 128), (64, 16), (200, 75), (1024, 768), (96, 40),
 ])
@@ -573,6 +603,22 @@ def test_cli_metrics_scores_every_signal_over_the_common_span(tmp_path, capsys, 
     assert metrics["baseline_db"] == si_sdr(mix, ref)
     assert metrics["improvement_db"] == metrics["si_sdr_db"] - metrics["baseline_db"]
     assert len([r for r in caplog.records if "length mismatch" in r.message]) == 1
+
+
+def test_cli_metrics_rejects_signals_of_different_sample_rates(tmp_path, capsys):
+    # The same samples labelled 8 kHz would otherwise score 100 dB.
+    signal = Waveform(np.random.default_rng(6).uniform(-0.5, 0.5, (1, 1600)), SAMPLE_RATE)
+    write_wav(tmp_path / "est.wav", signal)
+    write_wav(tmp_path / "ref.wav", Waveform(signal.samples, 8000))
+    capsys.readouterr()
+    assert cli_main(["metrics", "--est", str(tmp_path / "est.wav"),
+                     "--ref", str(tmp_path / "ref.wav")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("gsskit: error: ")
+    assert f"{tmp_path / 'est.wav'} at 16000 Hz" in line
+    assert f"{tmp_path / 'ref.wav'} at 8000 Hz" in line
 
 
 def test_cli_analyze_overlap(tmp_path):
@@ -1115,6 +1161,19 @@ def test_run_batch_enhances_a_repeated_annotation_row_once(tiny_session, tmp_pat
     assert repeat["status"] == "failed" and str(path) in repeat["error"]
     assert "duplicate annotation row" in repeat["error"]
     assert [utterance_filename(u) for u in calls].count(path.name) == 1
+
+
+def test_run_batch_reports_a_row_off_the_centisecond_grid(tiny_session, tmp_path):
+    # 0.1000625 s is sample 1601: on the sample grid, not the centisecond one.
+    _, good, config = tiny_session
+    doc = json.load(open(good["annotations"]))
+    doc[0] = dict(doc[0], start_time="0:00:00.1000625")
+    dump_json(doc, tmp_path / "annotations.json")
+    report = run_batch({"sessions": [dict(good, annotations=str(tmp_path / "annotations.json"))]},
+                       replace(config, output_dir=str(tmp_path / "out")))
+    rows = report["utterances"]
+    assert report["failures"] == 0 and len(rows) == len(doc)
+    assert [row["start_time"] for row in rows] == [row["start_time"] for row in doc]
 
 
 def reference_stft(waveform, config):

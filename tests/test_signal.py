@@ -200,6 +200,40 @@ def test_istft_rejects_negative_length():
         istft(spec, -1)
 
 
+@pytest.mark.parametrize("fft_size, shift", [
+    (1024, 256), (512, 128), (64, 16), (200, 75), (1024, 768), (96, 40),
+])
+def test_synthesis_frames_give_the_core_samples_of_the_whole_grid(fft_size, shift):
+    # Random bins are not the STFT of any signal, like a beamformed and
+    # masked spectrogram: every frame that overlaps a core sample changes
+    # it, so the guard frames must reach all of them.
+    config = StftConfig(fft_size=fft_size, shift=shift)
+    rng = np.random.default_rng(fft_size + shift)
+    length = 40 * shift
+    total = num_frames(length, config)
+    bins = rng.standard_normal((2, total, config.num_bins, 2)) @ np.array([1.0, 1.0j])
+    spec = Spectrogram(bins, config, 16000)
+    for _ in range(20):
+        start = int(rng.integers(0, length))
+        end = int(rng.integers(start + 1, length + 1))
+        synth = config.synthesis_frames(config.frame_range(start, end, total), total)
+        part = Spectrogram(bins[:, synth.start:synth.stop], config, 16000)
+        np.testing.assert_allclose(
+            istft(part, end - start, offset=config.synthesis_offset(start, synth.start)).samples,
+            istft(spec, end - start, offset=config.pad + start).samples,
+            rtol=0, atol=1e-12, err_msg=f"samples [{start}, {end})",
+        )
+
+
+@pytest.mark.parametrize("offset", [-1, -3, -4200])
+def test_istft_rejects_negative_offset(offset):
+    # Numpy would read a negative offset from the far end of the grid.
+    config = StftConfig(fft_size=64, shift=16)
+    spec = stft(Waveform(np.ones((1, 5000)), 16000), config)
+    with pytest.raises(ValueError, match=f"offset must be non-negative, got {offset}"):
+        istft(spec, 10, offset=offset)
+
+
 def test_stft_linearity():
     rng = np.random.default_rng(8)
     config = StftConfig(fft_size=128, shift=32)

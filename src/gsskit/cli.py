@@ -26,26 +26,9 @@ logger = logging.getLogger(__name__)
 
 def _cmd_enhance(args) -> int:
     config = PipelineConfig.from_dict(load_json(args.config)) if args.config else PipelineConfig()
-    overrides = {}
-    if args.track:
-        overrides["track"] = args.track
-    if args.no_wpe:
-        overrides["wpe_enabled"] = False
-    if args.mask:
-        overrides["masking"] = args.mask
-    if args.context_secs is not None:
-        overrides["context_seconds"] = args.context_secs
-    if args.em_iters is not None:
-        overrides["em"] = replace(config.em, iterations=args.em_iters)
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.output_dir:
-        overrides["output_dir"] = args.output_dir
-    if overrides:
-        config = replace(config, **overrides)
-
+        config = replace(config, output_dir=args.output_dir)
     report = run_batch(load_json(args.manifest), config)
-    dump_json(report, Path(config.output_dir) / "report.json")
     done = sum(1 for row in report["utterances"] if row["status"] == "ok")
     print(f"enhanced {done}/{len(report['utterances'])} utterances -> {config.output_dir}")
     if report["failures"]:
@@ -154,13 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     enhance = sub.add_parser("enhance", help="separate every annotated utterance")
     enhance.add_argument("--config", help="pipeline config JSON")
     enhance.add_argument("--manifest", required=True, help="session manifest JSON")
-    enhance.add_argument("--track", choices=["single", "multi"])
-    enhance.add_argument("--no-wpe", action="store_true", help="skip dereverberation")
-    enhance.add_argument("--mask", choices=["on", "off"], help="target masking override")
-    enhance.add_argument("--context-secs", type=float, default=None)
-    enhance.add_argument("--em-iters", type=int, default=None)
-    enhance.add_argument("--workers", type=int, default=None)
-    enhance.add_argument("--output-dir", default=None)
+    enhance.add_argument("--output-dir", help="overrides the config's output_dir")
     enhance.set_defaults(func=_cmd_enhance)
 
     overlap = sub.add_parser("analyze-overlap", help="word-weighted overlap histogram")

@@ -151,14 +151,28 @@ def load_json(path):
 
 
 def dump_json(obj, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write ``obj`` to a temporary file beside ``path``, then replace
+    ``path`` with it, so a reader never sees a half-written document."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    with open(partial, "w", encoding="utf-8") as handle:
         json.dump(obj, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    os.replace(partial, path)
+
+
+def _milliseconds(samples: int) -> str:
+    """Whole milliseconds on the millisecond grid; off it, the exact
+    remainder, in steps of 0.0625 ms at 16 kHz."""
+    ms, rest = divmod(samples * 1000, SAMPLE_RATE)
+    if not rest:
+        return str(ms)
+    return f"{ms}.{rest * 10 ** 4 // SAMPLE_RATE:04d}".rstrip("0")
 
 
 def utterance_filename(utterance: Utterance) -> str:
-    """`<speaker>-<start_ms>_<end_ms>.wav` with millisecond boundaries."""
-    start_ms = utterance.start_samples * 1000 // SAMPLE_RATE
-    end_ms = utterance.end_samples * 1000 // SAMPLE_RATE
-    return f"{utterance.speaker_id}-{start_ms}_{end_ms}.wav"
+    """`<speaker>-<start_ms>_<end_ms>.wav`, each boundary in milliseconds,
+    so rows that differ by one sample write different files."""
+    return (f"{utterance.speaker_id}-{_milliseconds(utterance.start_samples)}"
+            f"_{_milliseconds(utterance.end_samples)}.wav")

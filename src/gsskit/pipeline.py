@@ -37,7 +37,7 @@ from .beamforming import (
     mvdr_souden,
     select_reference,
 )
-from .io import load_json, read_wav, utterance_filename, write_wav
+from .io import dump_json, load_json, read_wav, utterance_filename, write_wav
 from .mixture import EmConfig, em_fit, normalize_observations
 from .signal import StftConfig, Waveform, istft, stft
 from .wpe import WpeConfig, wpe_dereverberate
@@ -52,41 +52,36 @@ class PipelineConfig:
     """Everything the enhancement pipeline needs to know.
 
     Attributes:
-        track: "multi" stacks several arrays into one super-array,
-            "single" works on exactly one array.
-        arrays: array ids to use, in stacking order; empty means all
-            arrays of the manifest entry in sorted order.
+        arrays: array ids to stack into one super-array, in stacking
+            order; empty means all arrays of the manifest entry in sorted
+            order. One id is the single-array track.
         stft: analysis/synthesis parameters, a pair istft can invert.
         wpe: dereverberation parameters.
         wpe_enabled: skip dereverberation entirely when False.
         em: mixture model schedule.
-        masking: "on", "off", or "auto" (on for the single-array track,
-            off for the multi-array track); the mask is the raw target
-            posterior.
+        masking: multiply the beamformed signal by the raw target
+            posterior; the paper's single-array track does.
         context_seconds: annotation context pulled in around each
             utterance for dereverberation and mixture fitting.
         output_dir: where enhanced WAV files go.
         workers: concurrent utterances; results do not depend on it.
     """
 
-    track: str = "multi"
     arrays: tuple = ()
     stft: StftConfig = field(default_factory=StftConfig)
     wpe: WpeConfig = field(default_factory=WpeConfig)
     wpe_enabled: bool = True
     em: EmConfig = field(default_factory=EmConfig)
-    masking: str = "auto"
+    masking: bool = False
     context_seconds: float = 15.0
     output_dir: str = "enhanced"
     workers: int = 1
 
     def __post_init__(self):
-        if self.track not in ("single", "multi"):
-            raise ValueError(f"track must be 'single' or 'multi', got {self.track!r}")
-        if self.masking not in ("auto", "on", "off"):
-            raise ValueError(f"masking must be 'auto', 'on' or 'off', got {self.masking!r}")
-        if self.track == "single" and len(self.arrays) > 1:
-            raise ValueError("the single-array track takes exactly one array")
+        for name in ("wpe_enabled", "masking"):  # a truthy string would switch it on
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, got {type(value).__name__}")
         if not 0 <= self.context_seconds < np.inf:  # also turns NaN away
             raise ValueError(f"context_seconds must be finite and non-negative, "
                              f"got {self.context_seconds}")
@@ -94,12 +89,6 @@ class PipelineConfig:
             raise ValueError("workers must be at least 1")
         self.stft.synthesis_weights()  # rejects an STFT that istft cannot invert
         object.__setattr__(self, "arrays", tuple(self.arrays))
-
-    @property
-    def masking_enabled(self) -> bool:
-        if self.masking == "auto":
-            return self.track == "single"
-        return self.masking == "on"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -261,10 +250,8 @@ def enhance_utterance(
     weights = ban_postfilter(mvdr_souden(psds, reference), psds)
     estimate = apply_beamformer(synth_spec, weights)
 
-    masking_applied = False
-    if config.masking_enabled:
+    if config.masking:
         estimate = apply_target_mask(estimate, gamma, target_class)
-        masking_applied = True
 
     offset = config.stft.synthesis_offset(start, synth.start)
     out = istft(estimate, utterance.duration_samples, offset=offset)
@@ -276,7 +263,7 @@ def enhance_utterance(
         target_class=target_class,
         core_frames=core,
         wpe_applied=wpe_applied,
-        masking_applied=masking_applied,
+        masking_applied=config.masking,
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,
@@ -319,8 +306,6 @@ def _load_session(entry: dict, config: PipelineConfig):
     missing = [i for i in ids if i not in audio_map]
     if missing:
         raise ValueError(f"session {session_id} has no audio for arrays {missing}")
-    if config.track == "single":
-        ids = ids[:1]
     waveforms = [read_wav(audio_map[i]) for i in ids]
     for i, waveform in zip(ids, waveforms):
         _require_annotation_rate(waveform.sample_rate, f"session {session_id}: {audio_map[i]}")
@@ -400,9 +385,12 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
 
     Each utterance's WAV is written as soon as it is enhanced, so a batch
     holds one session's audio, the ``workers`` utterances in flight and
-    the report rows, not finished outputs. An annotation row repeating an
-    earlier one's output file (same speaker, start and end) is not
-    enhanced again; it is a failed row whose error names that file.
+    the report rows, not finished outputs. The report so far replaces
+    ``<output_dir>/report.json`` after each manifest entry, so a batch
+    that is killed keeps the rows of its finished sessions. An annotation
+    row repeating an earlier one's output file (same speaker, start and
+    end) is not enhanced again; it is a failed row whose error names that
+    file.
     """
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest must be an object, got {type(manifest).__name__}")
@@ -412,14 +400,10 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
         raise ValueError(
             f"manifest 'sessions' must be a list, got {type(manifest['sessions']).__name__}"
         )
-    report = {
-        "track": config.track,
-        "output_dir": config.output_dir,
-        "utterances": [],
-        "failures": 0,
-    }
+    report = {"output_dir": config.output_dir, "utterances": [], "failures": 0}
     for index, entry in enumerate(manifest["sessions"]):
         rows = _run_session(index, entry, config)
         report["utterances"] += rows
         report["failures"] += sum(row["status"] == "failed" for row in rows)
+        dump_json(report, Path(config.output_dir) / "report.json")
     return report

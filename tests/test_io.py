@@ -47,6 +47,9 @@ def test_write_wav_normalizes_clipping_peaks(tmp_path, caplog):
 def test_utterance_filename():
     u = Utterance("S1", "P05", SAMPLE_RATE // 2, 2 * SAMPLE_RATE, ())
     assert utterance_filename(u) == "P05-500_2000.wav"
+    # Off the millisecond grid a boundary keeps its exact remainder.
+    for start, name in ((8001, "P05-500.0625_2000.wav"), (8008, "P05-500.5_2000.wav")):
+        assert utterance_filename(Utterance("S1", "P05", start, 2 * SAMPLE_RATE, ())) == name
 
 
 def test_json_round_trip(tmp_path):

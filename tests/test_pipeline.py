@@ -3,6 +3,7 @@ import logging
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,42 +59,45 @@ def fast_config(**overrides):
 def test_config_from_dict_nested():
     config = PipelineConfig.from_dict(
         {
-            "track": "single",
             "arrays": ["U01"],
             "stft": {"fft_size": 512, "shift": 128},
             "wpe": {"taps": 5},
             "em": {"iterations": 7},
-            "masking": "auto",
+            "masking": True,
             "workers": 2,
         }
     )
-    assert config.track == "single"
+    assert config.arrays == ("U01",)
     assert config.stft.fft_size == 512
     assert config.wpe.taps == 5
     assert config.em.iterations == 7
-    assert config.masking_enabled  # auto resolves to on for the single track
-    assert not PipelineConfig.from_dict({"track": "multi"}).masking_enabled
+    assert config.masking is True
+    assert PipelineConfig.from_dict({}).masking is False
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown config keys"):
-        PipelineConfig.from_dict({"tracks": "multi"})
+        PipelineConfig.from_dict({"arrayz": ["U01"]})
     with pytest.raises(ValueError, match="config must be an object"):
         PipelineConfig.from_dict(["em"])
     # A config written for the removed core-frame refinement is told so.
     with pytest.raises(ValueError, match=r"unknown em keys: \['refine_iterations'\]"):
         PipelineConfig.from_dict({"em": {"iterations": 5, "refine_iterations": 2}})
-    with pytest.raises(ValueError, match="track"):
-        PipelineConfig(track="stereo")
-    with pytest.raises(ValueError, match="one array"):
-        PipelineConfig(track="single", arrays=("U01", "U02"))
+    with pytest.raises(TypeError, match="track"):
+        PipelineConfig(track="single")
     with pytest.raises(ValueError, match="workers"):
         PipelineConfig(workers=0)
     for value in ("NaN", "Infinity"):
         with pytest.raises(ValueError, match="context_seconds"):
             PipelineConfig.from_dict(json.loads(f'{{"context_seconds": {value}}}'))
-    with pytest.raises(ValueError, match="masking"):
-        PipelineConfig(masking="sometimes")
+
+
+@pytest.mark.parametrize("field", ["wpe_enabled", "masking"])
+@pytest.mark.parametrize("value", ["false", "off", 0, 1, None])
+def test_config_rejects_a_switch_that_is_not_a_boolean(field, value):
+    # A string such as "false" is truthy and would turn the stage on.
+    with pytest.raises(ValueError, match=f"^{field} must be a boolean, got {type(value).__name__}$"):
+        PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize("section", ["stft", "wpe", "em"])
@@ -123,6 +127,7 @@ def test_config_rejects_unknown_reference_mode():
     ("em", "weight_floor", 1e-4),
     ("config", "mask_floor", 0.0),
     ("config", "reference_mode", "linear"),
+    ("config", "track", "multi"),
 ])
 def test_config_rejects_removed_keys(section, key, value):
     doc = {key: value} if section == "config" else {section: {key: value}}
@@ -141,6 +146,7 @@ def test_config_rejects_removed_keys(section, key, value):
     ({"context_seconds": "2"}, "config.context_seconds must be a number, got str"),
     ({"context_seconds": False}, "config.context_seconds must be a number, got bool"),
     ({"output_dir": None}, "config.output_dir must be a string, got NoneType"),
+    ({"masking": "auto"}, "config.masking must be a boolean, got str"),
 ])
 def test_config_rejects_values_of_the_wrong_type(doc, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -297,7 +303,7 @@ def test_enhance_utterance_synthesises_exactly_the_utterance_samples(
     for context in (0.0, 0.37, 15.0):
         config = PipelineConfig(
             stft=StftConfig(fft_size=fft_size, shift=shift), wpe_enabled=False,
-            masking="off", em=EmConfig(iterations=1), context_seconds=context,
+            masking=False, em=EmConfig(iterations=1), context_seconds=context,
         )
         for u in utterances:
             out = enhance_utterance(u, scene.mixture, activity, config)
@@ -311,12 +317,29 @@ def test_enhance_utterance_single_track_masks():
     scene = small_scene()
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
-    config = fast_config(track="single", arrays=("U01",))
+    config = fast_config(arrays=("U01",), masking=True)
     out, details = enhance_utterance(
         utterances[1], scene.mixture, activity, config, return_details=True
     )
     assert details.masking_applied
     assert out.samples.shape == (1, utterances[1].duration_samples)
+
+
+def test_single_array_track_equals_a_session_of_that_array_alone(tiny_session, tmp_path):
+    # The single-array track is the array list plus the mask: picking U02
+    # out of two arrays writes what a session of U02 alone writes.
+    _, good, config = tiny_session
+    mixture = read_wav(good["audio"]["U01"])
+    write_wav(tmp_path / "U02.wav", Waveform(mixture.samples[::-1] * 0.5, mixture.sample_rate))
+    both = dict(good, audio={"U01": good["audio"]["U01"], "U02": str(tmp_path / "U02.wav")})
+    alone = dict(good, audio={"U02": str(tmp_path / "U02.wav")})
+    blobs = []
+    for name, entry in (("both", both), ("alone", alone)):
+        single = replace(config, arrays=("U02",), masking=True, output_dir=str(tmp_path / name))
+        report = run_batch({"sessions": [entry]}, single)
+        assert report["failures"] == 0
+        blobs.append([open(row["path"], "rb").read() for row in report["utterances"]])
+    assert blobs[0] == blobs[1]
 
 
 def test_enhance_utterance_needs_multichannel():
@@ -544,6 +567,7 @@ def test_cli_simulate_enhance_metrics(tmp_path, capsys):
     dump_json(manifest, manifest_path)
     config = {
         "stft": {"fft_size": 512, "shift": 128},
+        "wpe_enabled": False,
         "wpe": {"taps": 4, "iterations": 2},
         "em": {"iterations": 8},
     }
@@ -552,7 +576,7 @@ def test_cli_simulate_enhance_metrics(tmp_path, capsys):
     out_dir = tmp_path / "enhanced"
     code = cli_main(
         ["enhance", "--manifest", str(manifest_path), "--config", str(config_path),
-         "--output-dir", str(out_dir), "--no-wpe"]
+         "--output-dir", str(out_dir)]
     )
     assert code == 0
     report = json.load(open(out_dir / "report.json"))
@@ -808,10 +832,11 @@ def test_run_batch_continues_after_failed_session(tmp_path, fault):
     else:
         bad["audio"] = {"U01": str(tmp_path / "absent.wav")}
     dump_json({"sessions": [bad, good]}, tmp_path / "manifest.json")
+    dump_json({"em": {"iterations": 5}}, tmp_path / "config.json")
     out_dir = tmp_path / "out"
     code = cli_main([
         "enhance", "--manifest", str(tmp_path / "manifest.json"),
-        "--output-dir", str(out_dir), "--em-iters", "5",
+        "--config", str(tmp_path / "config.json"), "--output-dir", str(out_dir),
     ])
     assert code == 1
     report = json.load(open(out_dir / "report.json"))
@@ -916,6 +941,17 @@ def test_cli_rejects_a_malformed_config_with_status_2(tiny_session, tmp_path, ca
                      "--output-dir", str(tmp_path / "cli")])
     assert code == 2
     assert capsys.readouterr().err == f"gsskit: error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", [
+    ["--track", "single"], ["--no-wpe"], ["--mask", "on"], ["--context-secs", "2"],
+    ["--em-iters", "5"], ["--workers", "2"],
+])
+def test_cli_enhance_takes_settings_only_from_the_config_file(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["enhance", "--manifest", str(tmp_path / "manifest.json"), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_reports_a_missing_input_file_with_status_2(tiny_session, tmp_path, capsys):
@@ -1161,6 +1197,44 @@ def test_run_batch_enhances_a_repeated_annotation_row_once(tiny_session, tmp_pat
     assert repeat["status"] == "failed" and str(path) in repeat["error"]
     assert "duplicate annotation row" in repeat["error"]
     assert [utterance_filename(u) for u in calls].count(path.name) == 1
+
+
+def test_run_batch_writes_rows_one_sample_apart_to_their_own_files(tiny_session, tmp_path):
+    # Samples 1600 and 1601 fall in the same millisecond.
+    _, good, config = tiny_session
+    doc = json.load(open(good["annotations"]))
+    doc.append(dict(doc[0], start_time="0:00:00.1000625"))
+    dump_json(doc, tmp_path / "annotations.json")
+    report = run_batch({"sessions": [dict(good, annotations=str(tmp_path / "annotations.json"))]},
+                       replace(config, output_dir=str(tmp_path / "out")))
+    assert report["failures"] == 0
+    names = [Path(row["path"]).name for row in report["utterances"]]
+    assert names[0] == "A-100_600.wav" and names[-1] == "A-100.0625_600.wav"
+    assert len(set(names)) == len(doc)
+
+
+def test_run_batch_keeps_the_report_of_finished_sessions(tiny_session, tmp_path, monkeypatch):
+    import gsskit.pipeline as pipeline
+
+    _, good, config = tiny_session
+    doc = [dict(row, session_id="P2") for row in json.load(open(good["annotations"]))]
+    dump_json(doc, tmp_path / "p2.json")
+    second = dict(good, session_id="P2", annotations=str(tmp_path / "p2.json"))
+    enhance = pipeline.enhance_utterance
+
+    def interrupted(utterance, *args, **kwargs):
+        if utterance.session_id == "P2":
+            raise KeyboardInterrupt
+        return enhance(utterance, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "enhance_utterance", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_batch({"sessions": [good, second]}, replace(config, output_dir=str(out)))
+    report = json.load(open(out / "report.json"))
+    assert report["failures"] == 0
+    assert [row["session_id"] for row in report["utterances"]] == [good["session_id"]] * len(doc)
+    assert sorted(path.name for path in out.iterdir()) == [good["session_id"], "report.json"]
 
 
 def test_run_batch_reports_a_row_off_the_centisecond_grid(tiny_session, tmp_path):

@@ -21,7 +21,7 @@ def readme_block(key):
 
 
 def test_readme_config_loads_and_sets_every_key():
-    doc = readme_block("track")
+    doc = readme_block("context_seconds")
     config = PipelineConfig.from_dict(doc)
     assert config.workers == doc["workers"]
     assert set(doc) == {f.name for f in fields(PipelineConfig)}

@@ -56,7 +56,7 @@ def test_tracer_records_every_layer_of_enhance_utterance(tracing):
     }, seed=1)
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
-    config = PipelineConfig(stft=StftConfig(fft_size=256, shift=64), masking="on",
+    config = PipelineConfig(stft=StftConfig(fft_size=256, shift=64), masking=True,
                             wpe=WpeConfig(taps=3, delay=2, iterations=1),
                             em=EmConfig(iterations=3))
     originals = {name: getattr(pipeline, name) for name in tracing.LAYER_OF}

@@ -15,7 +15,6 @@ from .activity import (
     activity_to_frames,
     build_activity,
     extend_context,
-    overlap_fraction,
     overlap_histogram,
     parse_annotations,
     parse_chime5_annotations,
@@ -30,7 +29,7 @@ from .beamforming import (
     mvdr_souden,
     select_reference,
 )
-from .metrics import oracle_masks, permutation_consistency, si_sdr
+from .metrics import si_sdr
 from .mixture import (
     ActivityMask,
     DirectionalObservations,
@@ -44,9 +43,8 @@ from .pipeline import (
     PipelineConfig,
     enhance_utterance,
     run_batch,
-    stack_arrays,
 )
-from .signal import Spectrogram, StftConfig, Waveform, istft, num_frames, stft
+from .signal import Spectrogram, StftConfig, Waveform, istft, stft
 from .simulate import SyntheticScene, simulate_scene
 from .wpe import WpeConfig, wpe_dereverberate
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import ActivityMask
-from .signal import StftConfig, num_frames
+from .signal import StftConfig
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,6 @@ __all__ = [
     "Utterance",
     "SessionActivity",
     "OVERLAP_BIN_EDGES",
-    "parse_time",
     "format_time",
     "check_path_id",
     "parse_annotations",
@@ -34,13 +33,9 @@ __all__ = [
     "extend_context",
     "refine_with_asr",
     "activity_to_frames",
-    "overlap_fraction",
     "overlap_histogram",
     "overlap_word_counts",
     "word_fractions",
-    "merge_intervals",
-    "intersect_intervals",
-    "subtract_intervals",
 ]
 
 
@@ -373,7 +368,7 @@ def activity_to_frames(
     if not (segment.step == 1 and 0 <= segment.start <= utterance.start_samples
             and utterance.end_samples <= segment.stop):
         raise ValueError("segment must be a contiguous sample range that contains the utterance")
-    total = num_frames(len(segment), config)
+    total = config.frame_count(len(segment))
     active = np.zeros((1 + len(activity.intervals), total), dtype=bool)
     active[0] = True
 
@@ -402,11 +397,6 @@ def _overlap_samples(utterance: Utterance, activity: SessionActivity) -> int:
     )
     own = ((utterance.start_samples, utterance.end_samples),)
     return sum(b - a for a, b in intersect_intervals(others, own))
-
-
-def overlap_fraction(utterance: Utterance, activity: SessionActivity) -> float:
-    """Percentage of the utterance during which any other speaker is active."""
-    return 100.0 * _overlap_samples(utterance, activity) / utterance.duration_samples
 
 
 OVERLAP_BIN_EDGES = (0, 20, 40, 60, 80, 100)

@@ -15,7 +15,7 @@ from .activity import (
     parse_chime5_annotations,
     word_fractions,
 )
-from .io import dump_json, load_json, read_wav, write_wav
+from .io import _atomic_write, dump_json, load_json, read_wav, write_wav
 from .metrics import si_sdr
 from .pipeline import PipelineConfig, run_batch
 from .signal import Waveform
@@ -69,8 +69,8 @@ def _cmd_analyze_overlap(args) -> int:
 
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _atomic_write(args.out) as handle:
+            handle.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

@@ -5,6 +5,7 @@ import logging
 import os
 import struct
 import wave
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,24 @@ def _read_riff(path):
     return rate, raw.view(dtype).reshape(frames, channels)
 
 
+@contextmanager
+def _atomic_write(path):
+    """A binary file ``<name>.tmp`` beside ``path`` to write into. When the
+    block ends it replaces ``path``; when the block raises it is removed.
+    ``path`` therefore holds either the whole new content or what it held
+    before, never a part."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def read_wav(path) -> Waveform:
     """Load a WAV file as float64 in [-1, 1], channels first.
 
@@ -128,7 +147,8 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(path, waveform: Waveform) -> None:
-    """Write 16-bit PCM, peak-normalising to 0.95 if the signal would clip."""
+    """Write 16-bit PCM, peak-normalising to 0.95 if the signal would clip.
+    The file appears under ``path`` whole or not at all (:func:`_atomic_write`)."""
     samples = waveform.samples
     peak = np.abs(samples).max() if samples.size else 0.0
     if peak > 1.0:
@@ -137,8 +157,7 @@ def write_wav(path, waveform: Waveform) -> None:
         )
         samples = samples * (0.95 / peak)
     pcm = np.round(samples * 32767.0).astype(np.int16)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with wave.open(str(path), "wb") as out:
+    with _atomic_write(path) as handle, wave.open(handle, "wb") as out:
         out.setnchannels(pcm.shape[0])
         out.setsampwidth(2)
         out.setframerate(waveform.sample_rate)
@@ -151,15 +170,10 @@ def load_json(path):
 
 
 def dump_json(obj, path) -> None:
-    """Write ``obj`` to a temporary file beside ``path``, then replace
-    ``path`` with it, so a reader never sees a half-written document."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".tmp")
-    with open(partial, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(partial, path)
+    """Write ``obj`` as indented JSON with sorted keys; a reader never sees
+    a half-written document (:func:`_atomic_write`)."""
+    with _atomic_write(path) as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _milliseconds(samples: int) -> str:

@@ -44,7 +44,7 @@ from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["PipelineConfig", "EnhanceDetails", "stack_arrays", "enhance_utterance", "run_batch"]
+__all__ = ["PipelineConfig", "EnhanceDetails", "enhance_utterance", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -151,32 +151,6 @@ class EnhanceDetails:
     distortion_fallback_bins: int
     log_likelihoods: np.ndarray
     posterior_core: np.ndarray = field(repr=False)
-
-
-def stack_arrays(waveforms) -> Waveform:
-    """Concatenate array channels into one super-array signal.
-
-    Arrays of slightly different length are trimmed to the shortest one
-    (with a warning); different sample rates are an error. A lone array
-    is returned as it is, not copied.
-    """
-    waveforms = list(waveforms)
-    if not waveforms:
-        raise ValueError("no arrays to stack")
-    if len(waveforms) == 1:
-        return waveforms[0]
-    rates = {w.sample_rate for w in waveforms}
-    if len(rates) != 1:
-        raise ValueError(f"arrays disagree on sample rate: {sorted(rates)}")
-    lengths = [w.num_samples for w in waveforms]
-    shortest = min(lengths)
-    if max(lengths) != shortest:
-        logger.warning(
-            "arrays differ in length (%d..%d samples), trimming to %d",
-            shortest, max(lengths), shortest,
-        )
-    stacked = np.concatenate([w.samples[:, :shortest] for w in waveforms], axis=0)
-    return Waveform(stacked, waveforms[0].sample_rate)
 
 
 def _require_annotation_rate(rate: int, source: str) -> None:
@@ -309,14 +283,25 @@ def _load_session(entry: dict, config: PipelineConfig):
     waveforms = [read_wav(audio_map[i]) for i in ids]
     for i, waveform in zip(ids, waveforms):
         _require_annotation_rate(waveform.sample_rate, f"session {session_id}: {audio_map[i]}")
-    audio = stack_arrays(waveforms)
+    # The arrays' channels stacked into one super-array; a lone array is
+    # used as it is, not copied, and longer arrays are cut to the shortest.
+    audio = waveforms[0]
+    if len(waveforms) > 1:
+        lengths = [w.num_samples for w in waveforms]
+        shortest = min(lengths)
+        if max(lengths) != shortest:
+            logger.warning(
+                "arrays differ in length (%d..%d samples), trimming to %d",
+                shortest, max(lengths), shortest,
+            )
+        audio = Waveform(np.concatenate([w.samples[:, :shortest] for w in waveforms]), SAMPLE_RATE)
 
     doc = load_json(entry["annotations"])
     fmt = entry.get("annotation_format", "native")
     if fmt == "native":
         utterances = parse_annotations(doc)
     elif fmt == "chime5":
-        utterances = parse_chime5_annotations(doc, array_id=ids[0] if ids else None)
+        utterances = parse_chime5_annotations(doc, array_id=ids[0])
     else:
         raise ValueError(f"unknown annotation format {fmt!r}")
     utterances = [u for u in utterances if u.session_id == session_id]

@@ -15,7 +15,6 @@ __all__ = [
     "StftConfig",
     "Waveform",
     "Spectrogram",
-    "num_frames",
     "stft",
     "istft",
 ]
@@ -58,6 +57,14 @@ class StftConfig:
     def pad(self) -> int:
         """Samples of edge padding prepended (and appended) before framing."""
         return self.fft_size - self.shift
+
+    def frame_count(self, num_samples: int) -> int:
+        """Frames :func:`stft` makes of ``num_samples`` samples: the last
+        is the one whose span still holds the final padded input sample,
+        completed with zeros beyond it."""
+        if num_samples <= 0:
+            raise ValueError("empty signal")
+        return 1 + (self.pad + num_samples - 1) // self.shift
 
     def frame_range(self, start: int, end: int, num_frames: int) -> range:
         """Frames, of ``num_frames``, whose nominal span [t * shift,
@@ -143,10 +150,6 @@ class Waveform:
     def duration(self) -> float:
         return self.samples.shape[1] / self.sample_rate
 
-    @classmethod
-    def from_mono(cls, samples, sample_rate: int) -> "Waveform":
-        return cls(np.atleast_2d(np.asarray(samples, dtype=np.float64)), sample_rate)
-
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -186,30 +189,17 @@ def _analysis_window(config: StftConfig) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / config.fft_size)
 
 
-def num_frames(num_samples: int, config: StftConfig) -> int:
-    """Frame count produced by :func:`stft` for a signal of given length.
-
-    The last frame is the one whose span still contains the final padded
-    input sample; anything beyond is completed with zeros.
-    """
-    if num_samples <= 0:
-        raise ValueError("empty signal")
-    return 1 + (config.pad + num_samples - 1) // config.shift
-
-
 def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     """Windowed short-time transform of every channel.
 
     The signal is padded with ``config.pad`` mirrored samples on both ends
     so that the first frame is centred near the first sample, then carved
-    into ``num_frames`` hops of ``shift`` samples.
+    into :meth:`StftConfig.frame_count` hops of ``shift`` samples.
 
     Returns:
         Spectrogram with bins of shape (M, T, F).
     """
-    if waveform.num_samples == 0:
-        raise ValueError("empty signal")
-    frames = num_frames(waveform.num_samples, config)
+    frames = config.frame_count(waveform.num_samples)
     total = (frames - 1) * config.shift + config.fft_size
     pad = config.pad
     padded = np.pad(waveform.samples, ((0, 0), (pad, pad)), mode="symmetric")

@@ -46,7 +46,7 @@ def _snap(seconds: float) -> int:
     return int(round(seconds * 100)) * (SAMPLE_RATE // 100)
 
 
-def _bandpass(noise: np.ndarray, band, rng) -> np.ndarray:
+def _bandpass(noise: np.ndarray, band) -> np.ndarray:
     low, high = band
     spectrum = np.fft.rfft(noise)
     freqs = np.fft.rfftfreq(len(noise), d=1.0 / SAMPLE_RATE)
@@ -72,7 +72,7 @@ def _source_chunk(kind: str, length: int, source_spec: dict, rng) -> np.ndarray:
     if kind == "noise":
         sig = rng.standard_normal(length)
         if "band" in source_spec:
-            sig = _bandpass(sig, source_spec["band"], rng)
+            sig = _bandpass(sig, source_spec["band"])
     elif kind == "chirp":
         f0, f1 = (float(f) for f in source_spec.get("sweep", (200.0, 3500.0)))
         t = np.arange(length) / SAMPLE_RATE

@@ -13,14 +13,13 @@ from gsskit import (
     activity_to_frames,
     build_activity,
     extend_context,
-    num_frames,
-    overlap_fraction,
     overlap_histogram,
     parse_annotations,
     parse_chime5_annotations,
     refine_with_asr,
 )
 from gsskit.activity import (
+    _overlap_samples,
     format_time,
     intersect_intervals,
     merge_intervals,
@@ -348,7 +347,7 @@ def test_activity_to_frames_matches_span_oracle():
     segment = extend_context(target, 0.02, activity.session_samples)
     mask = activity_to_frames(activity, target, segment, config)
     order = activity.speakers
-    total = num_frames(len(segment), config)
+    total = config.frame_count(len(segment))
     assert mask.active.shape == (1 + len(order), total)
     assert mask.active[0].all()
 
@@ -385,17 +384,16 @@ def test_activity_to_frames_needs_target_speaker():
         activity.class_of("Z")
 
 
-def overlap_fraction_oracle(utterance, activity):
+def overlap_samples_oracle(utterance, activity):
     length = activity.session_samples
     others = np.zeros(length, bool)
     for speaker, intervals in activity.intervals.items():
         if speaker != utterance.speaker_id:
             others |= rasterize(intervals, length)
-    covered = int(others[utterance.start_samples : utterance.end_samples].sum())
-    return 100.0 * covered / utterance.duration_samples
+    return int(others[utterance.start_samples : utterance.end_samples].sum())
 
 
-def test_overlap_fraction_matches_dense_oracle():
+def test_overlap_samples_match_dense_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
         utts = []
@@ -407,9 +405,7 @@ def test_overlap_fraction_matches_dense_oracle():
                 )
         activity = build_activity(utts, session_seconds=3.0)
         for u in utts:
-            np.testing.assert_allclose(
-                overlap_fraction(u, activity), overlap_fraction_oracle(u, activity)
-            )
+            assert _overlap_samples(u, activity) == overlap_samples_oracle(u, activity)
 
 
 def test_overlap_histogram_matches_dense_oracle():

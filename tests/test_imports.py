@@ -66,3 +66,58 @@ def test_pipeline_runs_with_scipy_unavailable(tmp_path):
         tmp_path,
     )
     assert out.strip() == "ok"
+
+
+# Every public name of the package, one line each. An export is added or
+# removed by editing this set along with the package.
+PUBLIC_NAMES = {
+    "SAMPLE_RATE",
+    "ActivityMask",
+    "DirectionalObservations",
+    "EmConfig",
+    "EnhanceDetails",
+    "MixtureParams",
+    "PipelineConfig",
+    "PsdSet",
+    "SessionActivity",
+    "Spectrogram",
+    "StftConfig",
+    "SyntheticScene",
+    "Utterance",
+    "Waveform",
+    "WpeConfig",
+    "activity_to_frames",
+    "apply_beamformer",
+    "apply_target_mask",
+    "ban_postfilter",
+    "build_activity",
+    "em_fit",
+    "enhance_utterance",
+    "estimate_psds",
+    "extend_context",
+    "istft",
+    "mvdr_souden",
+    "normalize_observations",
+    "overlap_histogram",
+    "parse_annotations",
+    "parse_chime5_annotations",
+    "refine_with_asr",
+    "run_batch",
+    "select_reference",
+    "si_sdr",
+    "simulate_scene",
+    "stft",
+    "wpe_dereverberate",
+}
+
+
+def test_public_surface_is_pinned():
+    import types
+
+    import gsskit
+
+    public = {
+        name for name, value in vars(gsskit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES

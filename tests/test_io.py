@@ -26,7 +26,7 @@ def test_wav_round_trip(tmp_path):
 
 
 def test_wav_mono_shape(tmp_path):
-    wave = Waveform.from_mono(np.zeros(100), SAMPLE_RATE)
+    wave = Waveform(np.zeros((1, 100)), SAMPLE_RATE)
     path = tmp_path / "mono.wav"
     write_wav(path, wave)
     back = read_wav(path)
@@ -34,7 +34,7 @@ def test_wav_mono_shape(tmp_path):
 
 
 def test_write_wav_normalizes_clipping_peaks(tmp_path, caplog):
-    wave = Waveform.from_mono(np.linspace(-2.0, 2.0, 100), SAMPLE_RATE)
+    wave = Waveform(np.linspace(-2.0, 2.0, 100)[None], SAMPLE_RATE)
     path = tmp_path / "hot.wav"
     with caplog.at_level(logging.WARNING):
         write_wav(path, wave)
@@ -57,6 +57,45 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "deep" / "doc.json"
     dump_json(payload, path)
     assert load_json(path) == payload
+
+
+def _fail_after_half(monkeypatch):
+    """Make WAV writing fail after half of its frames are on disk."""
+    def half_then_fail(self, data):
+        self.writeframesraw(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
+
+
+def test_write_wav_that_fails_leaves_no_partial_file(tmp_path, monkeypatch):
+    second = Waveform(np.full((1, SAMPLE_RATE), 0.5), SAMPLE_RATE)
+    path = tmp_path / "u.wav"
+    with monkeypatch.context() as patch:
+        _fail_after_half(patch)
+        with pytest.raises(OSError, match="disk full"):
+            write_wav(path, second)
+    assert list(tmp_path.iterdir()) == []
+
+    write_wav(path, Waveform(np.full((1, SAMPLE_RATE), 0.25), SAMPLE_RATE))
+    earlier = path.read_bytes()
+    _fail_after_half(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_wav(path, second)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == earlier
+
+
+def test_dump_json_of_an_unserialisable_value_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        dump_json({"a": object()}, path)
+    assert list(tmp_path.iterdir()) == []
+    dump_json({"a": 1}, path)
+    with pytest.raises(TypeError):
+        dump_json({"a": object()}, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert load_json(path) == {"a": 1}
 
 
 # Reference readings come from scipy.io.wavfile, which read_wav replaced.

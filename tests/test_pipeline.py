@@ -22,7 +22,6 @@ from gsskit import (
     run_batch,
     si_sdr,
     simulate_scene,
-    stack_arrays,
 )
 from gsskit.cli import main as cli_main
 from gsskit.io import dump_json, read_wav, write_wav
@@ -171,27 +170,39 @@ def test_config_takes_an_integer_for_a_number():
     assert config.arrays == ("U01", "U02")
 
 
-def test_stack_arrays_combines_channels():
-    a = Waveform(np.ones((2, 100)), SAMPLE_RATE)
-    b = Waveform(np.zeros((1, 100)), SAMPLE_RATE)
-    stacked = stack_arrays([a, b])
-    assert stacked.samples.shape == (3, 100)
+def load_stacked(tmp_path, monkeypatch, arrays):
+    """The audio ``_load_session`` makes of a session whose array files
+    read as the Waveforms of ``arrays``, a map of array id -> Waveform."""
+    from gsskit import pipeline
+
+    monkeypatch.setattr(pipeline, "read_wav", arrays.__getitem__)
+    dump_json([{"session_id": "S1", "speaker_id": "A", "start_time": "0:00:00.00",
+                "end_time": "0:00:00.01", "words": "a"}], tmp_path / "annotations.json")
+    entry = {"session_id": "S1", "annotations": str(tmp_path / "annotations.json"),
+             "audio": {array: array for array in arrays}}
+    audio, _, _ = pipeline._load_session(entry, PipelineConfig())
+    return audio
+
+
+def test_stack_arrays_combines_channels(tmp_path, monkeypatch):
+    a = Waveform(np.ones((2, 200)), SAMPLE_RATE)
+    b = Waveform(np.zeros((1, 200)), SAMPLE_RATE)
+    stacked = load_stacked(tmp_path, monkeypatch, {"U01": a, "U02": b})
+    assert stacked.samples.shape == (3, 200)
+    np.testing.assert_array_equal(stacked.samples, np.concatenate([a.samples, b.samples]))
     # A lone array needs no concatenation and is not copied.
-    assert np.shares_memory(stack_arrays([a]).samples, a.samples)
-    with pytest.raises(ValueError, match="sample rate"):
-        stack_arrays([a, Waveform(np.zeros((1, 100)), 8000)])
-    with pytest.raises(ValueError, match="stack"):
-        stack_arrays([])
+    assert np.shares_memory(load_stacked(tmp_path, monkeypatch, {"U01": a}).samples, a.samples)
 
 
-def test_stack_arrays_trims_length_mismatch(caplog):
+def test_stack_arrays_trims_length_mismatch(tmp_path, monkeypatch, caplog):
     import logging
 
-    a = Waveform(np.ones((1, 120)), SAMPLE_RATE)
-    b = Waveform(np.ones((1, 100)), SAMPLE_RATE)
+    a = Waveform(np.ones((1, 220)), SAMPLE_RATE)
+    b = Waveform(np.ones((1, 200)), SAMPLE_RATE)
     with caplog.at_level(logging.WARNING):
-        stacked = stack_arrays([a, b])
-    assert stacked.samples.shape == (2, 100)
+        stacked = load_stacked(tmp_path, monkeypatch, {"U01": a, "U02": b})
+    assert stacked.samples.shape == (2, 200)
+    assert "arrays differ in length (200..220 samples), trimming to 200" in caplog.text
 
 
 def test_enhance_utterance_returns_core_audio():
@@ -255,7 +266,6 @@ def test_enhance_utterance_core_frames_match_span_oracle():
     # span [t * shift, t * shift + fft_size) starts inside the utterance; a
     # sub-hop utterance still claims one frame.
     from gsskit import EmConfig, StftConfig
-    from gsskit.signal import num_frames
 
     rng = np.random.default_rng(2)
     length = 5000
@@ -272,7 +282,7 @@ def test_enhance_utterance_core_frames_match_span_oracle():
             replace(config, context_seconds=context / SAMPLE_RATE), return_details=True,
         )
         first = max(0, u.start_samples - context)
-        total = num_frames(min(length, u.end_samples + context) - first, config.stft)
+        total = config.stft.frame_count(min(length, u.end_samples + context) - first)
         lo, hi = u.start_samples - first, u.end_samples - first
         starting = [t for t in range(total) if lo <= t * shift < hi]
         if not starting:
@@ -1252,9 +1262,9 @@ def test_run_batch_reports_a_row_off_the_centisecond_grid(tiny_session, tmp_path
 
 def reference_stft(waveform, config):
     """All channels through one batched rfft of the windowed frames."""
-    from gsskit.signal import Spectrogram, _analysis_window, num_frames
+    from gsskit.signal import Spectrogram, _analysis_window
 
-    frames = num_frames(waveform.num_samples, config)
+    frames = config.frame_count(waveform.num_samples)
     total = (frames - 1) * config.shift + config.fft_size
     padded = np.pad(waveform.samples, ((0, 0), (config.pad, config.pad)), mode="symmetric")
     padded = np.pad(padded, ((0, 0), (0, max(0, total - padded.shape[1]))))

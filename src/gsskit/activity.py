@@ -6,6 +6,8 @@ timestamps of the form "H:MM:SS.ff" convert losslessly because a
 centisecond is a whole number of samples at that rate.
 """
 
+import bisect
+import itertools
 import logging
 import math
 import re
@@ -295,7 +297,7 @@ def build_activity(utterances, session_seconds: float | None = None) -> SessionA
         spans.setdefault(u.speaker_id, []).append((u.start_samples, u.end_samples))
     return SessionActivity(
         session_id=next(iter(sessions)),
-        intervals={spk: merge_intervals(iv) for spk, iv in spans.items()},
+        intervals=spans,
         session_samples=session_samples,
     )
 
@@ -387,16 +389,24 @@ def activity_to_frames(
     return ActivityMask(active=active)
 
 
-def _overlap_samples(utterance: Utterance, activity: SessionActivity) -> int:
-    """Samples of the utterance during which any other speaker is active."""
-    others = merge_intervals(
-        span
-        for speaker, intervals in activity.intervals.items()
-        if speaker != utterance.speaker_id
-        for span in intervals
-    )
-    own = ((utterance.start_samples, utterance.end_samples),)
-    return sum(b - a for a, b in intersect_intervals(others, own))
+def _overlap_samples(utterances, activity: SessionActivity) -> list:
+    """Samples of each utterance during which any other speaker is active:
+    the length of that union before the utterance's end minus that before
+    its start. Each union and its running length are built once per speaker."""
+    unions = {}
+    for speaker in {u.speaker_id for u in utterances}:
+        others = merge_intervals(span for other, spans in activity.intervals.items()
+                                 if other != speaker for span in spans)
+        unions[speaker] = others, [0, *itertools.accumulate(b - a for a, b in others)]
+
+    def covered(speaker, sample):
+        others, lengths = unions[speaker]
+        i = bisect.bisect_right(others, sample, key=lambda span: span[1])  # ended by ``sample``
+        inside = sample - others[i][0] if i < len(others) and others[i][0] < sample else 0
+        return lengths[i] + inside
+
+    return [covered(u.speaker_id, u.end_samples) - covered(u.speaker_id, u.start_samples)
+            for u in utterances]
 
 
 OVERLAP_BIN_EDGES = (0, 20, 40, 60, 80, 100)
@@ -410,10 +420,9 @@ def overlap_word_counts(utterances, activity: SessionActivity) -> np.ndarray:
     fully overlapped utterances (exactly 100%) land in the last bin. Bin
     placement uses integer sample arithmetic, so boundary cases are exact.
     """
-    counts = np.zeros(5, dtype=np.int64)
-    for u in utterances:
-        bin_index = min(_overlap_samples(u, activity) * 5 // u.duration_samples, 4)
-        counts[bin_index] += u.word_count
+    utterances, counts = list(utterances), np.zeros(5, dtype=np.int64)
+    for u, overlap in zip(utterances, _overlap_samples(utterances, activity)):
+        counts[min(overlap * 5 // u.duration_samples, 4)] += u.word_count
     return counts
 
 

@@ -79,10 +79,16 @@ def _cmd_analyze_overlap(args) -> int:
 def _cmd_simulate(args) -> int:
     scene = simulate_scene(load_json(args.spec), args.seed)
     out = Path(args.out)
-    write_wav(out / "mixture.wav", scene.mixture)
+    rate = scene.mixture.sample_rate
+    # One gain for all files, so on disk the images still sum to the mixture
+    # less the sensor noise; write_wav would rescale each by its own peak.
+    peak = max(abs(signal).max() for signal in (scene.mixture.samples, scene.images, scene.dry))
+    gain = 0.95 / peak if peak > 1.0 else 1.0
+    logger.info("scene peak %.3f, writing every file at gain %.6f", peak, gain)
+    write_wav(out / "mixture.wav", Waveform(gain * scene.mixture.samples, rate))
     for s, speaker in enumerate(scene.speakers):
-        write_wav(out / f"image_{speaker}.wav", Waveform(scene.images[s], scene.mixture.sample_rate))
-        write_wav(out / f"dry_{speaker}.wav", Waveform(scene.dry[s:s + 1], scene.mixture.sample_rate))
+        write_wav(out / f"image_{speaker}.wav", Waveform(gain * scene.images[s], rate))
+        write_wav(out / f"dry_{speaker}.wav", Waveform(gain * scene.dry[s:s + 1], rate))
     dump_json(scene.annotations, out / "annotations.json")
     dump_json(
         {
@@ -92,6 +98,7 @@ def _cmd_simulate(args) -> int:
             "channels": scene.mixture.num_channels,
             "duration_seconds": scene.mixture.duration,
             "has_noise": scene.noise is not None,
+            "gain": gain,
         },
         out / "scene.json",
     )

@@ -119,11 +119,6 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     channel by channel from (conj(z_d) z_d).real, the products and order of
     ``np.linalg.norm``, so it has the same bits without full-size temporaries.
     """
-    if spectrogram.num_channels < 2:
-        raise ValueError(
-            f"need at least 2 channels to model spatial structure, "
-            f"got {spectrogram.num_channels}"
-        )
     bins = spectrogram.bins
     power = (bins[0].conj() * bins[0]).real.copy()
     for chan in bins[1:]:

@@ -145,8 +145,6 @@ class EnhanceDetails:
     reference_channel: int
     target_class: int
     core_frames: range
-    wpe_applied: bool
-    masking_applied: bool
     target_fallback_bins: int
     distortion_fallback_bins: int
     log_likelihoods: np.ndarray
@@ -191,16 +189,8 @@ def enhance_utterance(
     spectrogram = stft(
         Waveform(audio.samples[:, segment.start:segment.stop], audio.sample_rate), config.stft
     )
-    wpe_applied = False
     if config.wpe_enabled:
-        if spectrogram.num_frames > config.wpe.delay + config.wpe.taps:
-            spectrogram, _ = wpe_dereverberate(spectrogram, config.wpe)
-            wpe_applied = True
-        else:
-            logger.warning(
-                "segment of %s at %s too short for dereverberation, skipping",
-                utterance.speaker_id, format_time(utterance.start_samples),
-            )
+        spectrogram, _ = wpe_dereverberate(spectrogram, config.wpe)
 
     observations = normalize_observations(spectrogram)
     core = config.stft.frame_range(start, start + utterance.duration_samples,
@@ -236,8 +226,6 @@ def enhance_utterance(
         reference_channel=reference,
         target_class=target_class,
         core_frames=core,
-        wpe_applied=wpe_applied,
-        masking_applied=config.masking,
         target_fallback_bins=int(psds.target_fallback.sum()),
         distortion_fallback_bins=int(psds.distortion_fallback.sum()),
         log_likelihoods=likelihoods,

@@ -90,17 +90,16 @@ def _source_chunk(kind: str, length: int, source_spec: dict, rng) -> np.ndarray:
     return sig
 
 
-def _delay_filters(channels: int, mixing: dict, rng) -> np.ndarray:
-    """Per-channel impulse responses for pure-delay mixing; channel 0 is the
+def _direct_paths(channels: int, length: int, max_delay: int, rng):
+    """(channels, length) filters holding each channel's direct-path spike
+    (pure-delay mixing), and the spikes' delays and gains; channel 0 is the
     undelayed unit-gain anchor."""
-    max_delay = int(mixing.get("max_delay", 8))
-    length = max_delay + 1
-    filters = np.zeros((channels, length))
     delays = rng.integers(0, max_delay + 1, size=channels)
     gains = rng.uniform(0.7, 1.0, size=channels)
     delays[0], gains[0] = 0, 1.0
+    filters = np.zeros((channels, length))
     filters[np.arange(channels), delays] = gains
-    return filters
+    return filters, delays, gains
 
 
 def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
@@ -108,14 +107,9 @@ def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
     taps = int(mixing.get("taps", 64))
     decay = float(mixing.get("decay", 8.0))
     tail_gain = float(mixing.get("tail_gain", 0.3))
-    max_delay = int(mixing.get("max_delay", 4))
-    filters = np.zeros((channels, taps))
-    delays = rng.integers(0, max_delay + 1, size=channels)
-    gains = rng.uniform(0.7, 1.0, size=channels)
-    delays[0], gains[0] = 0, 1.0
+    filters, delays, gains = _direct_paths(channels, taps, int(mixing.get("max_delay", 4)), rng)
     for c in range(channels):
         d = delays[c]
-        filters[c, d] = gains[c]
         tail = np.arange(d + 1, taps)
         if len(tail):
             envelope = np.exp(-(tail - d) / decay)
@@ -175,7 +169,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
 
     kind = mixing.get("kind", "delay")
     if kind == "delay":
-        filter_bank = [_delay_filters(channels, mixing, rng) for _ in sources]
+        max_delay = int(mixing.get("max_delay", 8))
+        filter_bank = [_direct_paths(channels, max_delay + 1, max_delay, rng)[0] for _ in sources]
     elif kind == "reverb":
         filter_bank = [_reverb_filters(channels, mixing, rng) for _ in sources]
     else:

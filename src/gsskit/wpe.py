@@ -6,11 +6,14 @@ and subtracted from the observation. All channels are dereverberated
 jointly (M inputs, M outputs); frequency bins never interact.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signal import Spectrogram
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["WpeConfig", "wpe_dereverberate"]
 
@@ -51,7 +54,9 @@ def wpe_dereverberate(
     """Suppress late reverberation in every channel of an STFT tensor.
 
     Frames earlier than ``delay + taps`` have incomplete prediction history
-    and are passed through unmodified. A zero observation stays zero.
+    and are passed through unmodified, so a segment of no more frames than
+    that comes back unchanged, with an all-zero objective and one warning.
+    A zero observation stays zero.
 
     Bins are processed in blocks of 2**16 // (T * (taps + 1) * M) bins (at
     least one). Each block is gathered once into real planes (n, re/im, M,
@@ -88,18 +93,17 @@ def wpe_dereverberate(
     """
     channels, frames, bins = spectrogram.bins.shape
     taps, delay = config.taps, config.delay
-    if frames <= delay + taps:
-        raise ValueError(
-            f"segment too short for dereverberation: {frames} frames, "
-            f"need more than delay + taps = {delay + taps}"
-        )
-
-    order = channels * taps
     first = delay + taps
-    span = frames - first
-    width = order + channels
     output = spectrogram.bins.copy()
     objective = np.zeros(config.iterations)
+    if frames <= first:
+        logger.warning("segment of %d frames has none past delay + taps = %d, "
+                       "passing it through unchanged", frames, first)
+        return Spectrogram(output, spectrogram.config, spectrogram.sample_rate), objective
+
+    order = channels * taps
+    span = frames - first
+    width = order + channels
 
     block = max(1, 2 ** 16 // (frames * width))
     planes = np.empty((block, 2, channels, frames))

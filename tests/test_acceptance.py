@@ -482,9 +482,10 @@ def test_overlap_analytics_match_dense_oracle():
     activity = build_activity(utterances, session_seconds=3.1)
 
     counts = np.zeros(5, int)
-    for utterance in utterances:
+    overlaps = _overlap_samples(utterances, activity)
+    for utterance, overlap in zip(utterances, overlaps):
         covered = other_speaker_cover(utterance, activity)
-        assert _overlap_samples(utterance, activity) == covered
+        assert overlap == covered
         counts[min(covered * 5 // utterance.duration_samples, 4)] += len(utterance.words)
     np.testing.assert_array_equal(overlap_word_counts(utterances, activity), counts)
     np.testing.assert_allclose(overlap_histogram(utterances, activity), counts / counts.sum())

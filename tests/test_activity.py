@@ -404,8 +404,34 @@ def test_overlap_samples_match_dense_oracle():
                     Utterance("S1", speaker, start, start + int(rng.integers(1, 8000)), ())
                 )
         activity = build_activity(utts, session_seconds=3.0)
-        for u in utts:
-            assert _overlap_samples(u, activity) == overlap_samples_oracle(u, activity)
+        assert _overlap_samples(utts, activity) == [
+            overlap_samples_oracle(u, activity) for u in utts
+        ]
+
+
+def test_overlap_samples_match_dense_oracle_on_random_sessions():
+    # Session length, speaker count and turn count vary; starts and ends
+    # sit on a coarse grid, so utterance edges often meet interval edges.
+    # Silences cut the activity under some utterances, and an utterance of
+    # a speaker without activity overlaps with everybody.
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        grid = int(rng.integers(2, 400))
+        cells = int(rng.integers(2, 60))
+        speakers = "ABCDE"[: int(rng.integers(1, 6))]
+        utts = []
+        for _ in range(int(rng.integers(1, 25))):
+            a, b = sorted(rng.choice(cells + 1, size=2, replace=False))
+            utts.append(Utterance("S1", str(rng.choice(list(speakers))), a * grid, b * grid, ()))
+        activity = build_activity(utts, session_seconds=cells * grid / SAMPLE_RATE)
+        if trial % 2:
+            silences = {spk: [(a / SAMPLE_RATE, (a + grid) / SAMPLE_RATE)]
+                        for spk, ((a, _), *_) in activity.intervals.items()}
+            activity = refine_with_asr(activity, silences)
+        utts.append(Utterance("S1", "Z", 0, cells * grid, ()))
+        assert _overlap_samples(utts, activity) == [
+            overlap_samples_oracle(u, activity) for u in utts
+        ], f"trial {trial}"
 
 
 def test_overlap_histogram_matches_dense_oracle():
@@ -432,6 +458,7 @@ def test_overlap_histogram_matches_dense_oracle():
         bin_index = min(covered * 5 // u.duration_samples, 4)
         counts[bin_index] += u.word_count
     np.testing.assert_array_equal(overlap_word_counts(utts, activity), counts)
+    np.testing.assert_array_equal(overlap_word_counts(iter(utts), activity), counts)
     if counts.sum():
         np.testing.assert_allclose(overlap_histogram(utts, activity), counts / counts.sum())
 

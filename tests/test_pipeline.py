@@ -205,22 +205,45 @@ def test_stack_arrays_trims_length_mismatch(tmp_path, monkeypatch, caplog):
     assert "arrays differ in length (200..220 samples), trimming to 200" in caplog.text
 
 
-def test_enhance_utterance_returns_core_audio():
+def recording(monkeypatch, *names):
+    """Replace the pipeline's stage functions ``names`` by wrappers that
+    append (name, args, result) of every call to the returned list."""
+    from gsskit import pipeline
+
+    calls = []
+
+    def wrap(name, stage):
+        def recorded(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+        return recorded
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+    return calls
+
+
+def test_enhance_utterance_returns_core_audio(monkeypatch):
     scene = small_scene()
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
     config = fast_config()
     target = utterances[0]
+    calls = recording(monkeypatch, "wpe_dereverberate", "apply_target_mask")
     out, details = enhance_utterance(
         target, scene.mixture, activity, config, return_details=True
     )
+    # WPE ran once and predicted frames (a segment too short for it would
+    # give an all-zero objective); masking is off by default.
+    ((name, _, (_, objective)),) = calls
+    assert name == "wpe_dereverberate"
+    assert np.all(objective != 0)
     assert out.samples.shape == (1, target.duration_samples)
     assert np.all(np.isfinite(out.samples))
     assert details.posterior_core.shape[1] == len(details.core_frames)
     assert details.log_likelihoods.shape == (config.em.iterations,)
     assert np.all(np.isfinite(details.log_likelihoods))
-    assert details.wpe_applied
-    assert not details.masking_applied
     assert 0 <= details.reference_channel < 4
     # The enhanced utterance should resemble the target image far more
     # than the raw mixture does.
@@ -232,16 +255,7 @@ def test_enhance_utterance_returns_core_audio():
 
 
 def test_enhance_utterance_posterior_core_views_the_synthesis_frames(monkeypatch):
-    from gsskit import pipeline
-
-    calls = []
-
-    def recording_em_fit(*args, **kwargs):
-        result = em_fit(*args, **kwargs)
-        calls.append((args, result[1]))
-        return result
-
-    monkeypatch.setattr(pipeline, "em_fit", recording_em_fit)
+    calls = recording(monkeypatch, "em_fit")
     scene = small_scene()
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
@@ -249,7 +263,7 @@ def test_enhance_utterance_posterior_core_views_the_synthesis_frames(monkeypatch
     _, details = enhance_utterance(
         utterances[0], scene.mixture, activity, config, return_details=True
     )
-    (args, returned), = calls
+    ((_, args, (_, returned, _)),) = calls
     core, frames = details.posterior_core, details.core_frames
     _, whole, _ = em_fit(*args)
     np.testing.assert_array_equal(core, whole[:, frames.start:frames.stop])
@@ -323,15 +337,39 @@ def test_enhance_utterance_synthesises_exactly_the_utterance_samples(
             )
 
 
-def test_enhance_utterance_single_track_masks():
+def test_enhance_utterance_passes_a_segment_too_short_for_wpe_through(caplog):
+    # A 0.1 s utterance without context is 16 frames, no more than
+    # delay + taps = 22: WPE has no frame to predict, so it changes nothing.
+    from gsskit import WpeConfig
+
+    scene = small_scene()
+    activity = build_activity(parse_annotations(scene.annotations), scene.mixture.duration)
+    short = Utterance("SYN5", "A", 8000, 9600, ())
+    config = fast_config(wpe=WpeConfig(taps=20, delay=2), context_seconds=0.0)
+    assert config.stft.frame_count(short.duration_samples) <= 22
+    with caplog.at_level(logging.WARNING, logger="gsskit.wpe"):
+        out, details = enhance_utterance(short, scene.mixture, activity, config,
+                                         return_details=True)
+    plain, plain_details = enhance_utterance(short, scene.mixture, activity,
+                                             replace(config, wpe_enabled=False),
+                                             return_details=True)
+    np.testing.assert_array_equal(out.samples, plain.samples)
+    assert details.reference_channel == plain_details.reference_channel
+    assert "passing it through unchanged" in caplog.text
+
+
+def test_enhance_utterance_single_track_masks(monkeypatch):
     scene = small_scene()
     utterances = parse_annotations(scene.annotations)
     activity = build_activity(utterances, scene.mixture.duration)
     config = fast_config(arrays=("U01",), masking=True)
+    calls = recording(monkeypatch, "apply_target_mask")
     out, details = enhance_utterance(
         utterances[1], scene.mixture, activity, config, return_details=True
     )
-    assert details.masking_applied
+    # The beamformed signal is masked once, by the target's posterior.
+    ((_, (_, _, target_class), _),) = calls
+    assert target_class == details.target_class == activity.class_of("B")
     assert out.samples.shape == (1, utterances[1].duration_samples)
 
 
@@ -543,6 +581,37 @@ def test_run_batch_fails_the_session_on_malformed_silences(tmp_path):
     (row,) = report["utterances"]
     assert row["status"] == "failed" and "speaker A, span 0" in row["error"]
     assert report["failures"] == 1
+
+
+def test_cli_simulate_writes_every_file_of_a_clipping_scene_at_one_gain(tmp_path):
+    # The CI scene, whose mixture peaks at 5.2 and its images at 4.8 and
+    # 1.4: written each at its own gain, the images on disk would not sum
+    # to the mixture.
+    spec = {"session_id": "S01", "duration": 3.0, "channels": 4, "snr_db": 25,
+            "sources": [
+                {"speaker": "A", "kind": "noise", "band": [300, 2500], "activity": [[0.0, 1.8]]},
+                {"speaker": "B", "kind": "chirp", "band": [800, 3800], "activity": [[1.2, 3.0]]}],
+            "mixing": {"kind": "delay", "max_delay": 6}}
+    dump_json(spec, tmp_path / "scene.json")
+    assert cli_main(["simulate", "--spec", str(tmp_path / "scene.json"), "--seed", "7",
+                     "--out", str(tmp_path / "scene")]) == 0
+    scene = simulate_scene(spec, seed=7)
+    peak = max(np.abs(x).max() for x in (scene.mixture.samples, scene.images, scene.dry))
+    assert peak > 1.0
+    gain = json.load(open(tmp_path / "scene" / "scene.json"))["gain"]
+    assert gain == 0.95 / peak
+
+    mixture = read_wav(tmp_path / "scene" / "mixture.wav").samples
+    images = [read_wav(tmp_path / "scene" / f"image_{s}.wav").samples for s in scene.speakers]
+    dry = [read_wav(tmp_path / "scene" / f"dry_{s}.wav").samples for s in scene.speakers]
+    # write_wav stores round(32767 x), read_wav returns that / 32768, so each
+    # file read back is 32767/32768 of gain x plus at most half a step
+    # (and float64 rounding).
+    scale = gain * 32767 / 32768
+    step = 1 / 32768
+    np.testing.assert_allclose(mixture - sum(images), scale * scene.noise,
+                               rtol=0, atol=(1 + len(images)) * step / 2 + 1e-12)
+    np.testing.assert_allclose(dry, scale * scene.dry[:, None], rtol=0, atol=step / 2 + 1e-12)
 
 
 def test_cli_simulate_enhance_metrics(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gsskit import Spectrogram, StftConfig, WpeConfig, wpe_dereverberate
+from gsskit import Spectrogram, StftConfig, WpeConfig, simulate_scene, stft, wpe_dereverberate
 
 
 def make_spec(bins):
@@ -74,10 +77,27 @@ def test_early_frames_pass_through():
     assert np.any(out.bins[:, head:] != bins[:, head:])
 
 
-def test_too_few_frames_rejected():
-    spec = make_spec(np.ones((2, 6, 9), complex))
-    with pytest.raises(ValueError, match="segment too short"):
-        wpe_dereverberate(spec, WpeConfig(taps=4, delay=2))
+def test_too_few_frames_pass_through(caplog):
+    # No frame of a segment of delay + taps frames has a whole history, so
+    # like the early frames of a longer one, all pass through unchanged.
+    rng = np.random.default_rng(4)
+    bins = rng.standard_normal((2, 7, 9)) + 1j * rng.standard_normal((2, 7, 9))
+    config = WpeConfig(taps=4, delay=2, iterations=3)
+    with caplog.at_level(logging.WARNING, logger="gsskit.wpe"):
+        out, objective = wpe_dereverberate(make_spec(bins[:, :6]), config)
+    np.testing.assert_array_equal(out.bins, bins[:, :6])
+    assert not np.shares_memory(out.bins, bins)
+    np.testing.assert_array_equal(objective, np.zeros(3))
+    assert [record.getMessage() for record in caplog.records] == [
+        "segment of 6 frames has none past delay + taps = 6, passing it through unchanged"
+    ]
+    # One frame more is one predicted frame: no warning, a real objective.
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gsskit.wpe"):
+        out, objective = wpe_dereverberate(make_spec(bins), config)
+    assert not caplog.records
+    assert np.all(objective != 0)
+    assert np.any(out.bins[:, 6] != bins[:, 6])
 
 
 def test_white_input_barely_changed():
@@ -214,3 +234,44 @@ def test_wpe_memory_stays_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * spec.bins.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+# The README's scene (4 channels, delay mixing) and an 8-channel reverb
+# scene, each at the default STFT and WPE config.
+INVARIANCE_SCENES = {
+    "readme": {
+        "duration": 6.0, "channels": 4, "snr_db": 25,
+        "sources": [
+            {"speaker": "A", "kind": "noise", "band": [300, 2500], "activity": [[0.5, 3.0]]},
+            {"speaker": "B", "kind": "chirp", "band": [800, 3800], "activity": [[2.0, 5.5]]},
+        ],
+        "mixing": {"kind": "delay", "max_delay": 6},
+    },
+    "reverb8ch": {
+        "duration": 5.0, "channels": 8, "snr_db": 25,
+        "sources": [
+            {"speaker": "A", "kind": "noise", "band": [300, 3000], "activity": [[0.3, 2.9]]},
+            {"speaker": "B", "kind": "chirp", "sweep": [300, 3500], "activity": [[2.5, 4.7]]},
+        ],
+        "mixing": {"kind": "reverb"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", INVARIANCE_SCENES)
+def test_wpe_is_gain_invariant_and_channel_equivariant(name):
+    spec = stft(simulate_scene(INVARIANCE_SCENES[name], seed=0).mixture, StftConfig())
+    out, _ = wpe_dereverberate(spec)
+    # A gain of a power of two scales the power estimate by its square and
+    # leaves the weighted correlations, and so the filters, bit for bit.
+    for gain in (4.0, 0.25):
+        scaled, _ = wpe_dereverberate(replace(spec, bins=spec.bins * gain))
+        np.testing.assert_array_equal(scaled.bins, out.bins * gain, err_msg=f"gain {gain}")
+    # Permuting the channels permutes the output. The solve reads the
+    # history in another order, so floored, ill-conditioned bins move by
+    # rounding: at most 2.2e-5 of the peak on seeds 0-9 of both scenes,
+    # reversed or randomly permuted, on one BLAS thread.
+    order = np.arange(spec.num_channels)[::-1]
+    permuted, _ = wpe_dereverberate(replace(spec, bins=spec.bins[order]))
+    np.testing.assert_allclose(permuted.bins, out.bins[order],
+                               rtol=0, atol=1e-4 * np.abs(out.bins).max())

@@ -203,22 +203,6 @@ def merge_intervals(intervals) -> tuple:
     return tuple(merged)
 
 
-def intersect_intervals(first, second) -> tuple:
-    """Intersection of two canonical interval tuples."""
-    out = []
-    i = j = 0
-    while i < len(first) and j < len(second):
-        a = max(first[i][0], second[j][0])
-        b = min(first[i][1], second[j][1])
-        if a < b:
-            out.append((a, b))
-        if first[i][1] <= second[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
 def subtract_intervals(first, second) -> tuple:
     """Samples of ``first`` not covered by ``second`` (both canonical)."""
     out = []
@@ -416,13 +400,15 @@ def overlap_word_counts(utterances, activity: SessionActivity) -> np.ndarray:
     """Lexical words per overlap bin (``OVERLAP_BIN_EDGES``), as int64.
 
     Every utterance contributes its lexical word count to the bin of its
-    overlap percentage: bin i covers [20 * i, 20 * (i + 1)) percent, and
-    fully overlapped utterances (exactly 100%) land in the last bin. Bin
-    placement uses integer sample arithmetic, so boundary cases are exact.
+    overlap percentage: of the n equal bins the edges make, bin i covers
+    [100 * i / n, 100 * (i + 1) / n) percent, and fully overlapped
+    utterances (exactly 100%) land in the last bin. Bin placement uses
+    integer sample arithmetic, so boundary cases are exact.
     """
-    utterances, counts = list(utterances), np.zeros(5, dtype=np.int64)
+    bins = len(OVERLAP_BIN_EDGES) - 1
+    utterances, counts = list(utterances), np.zeros(bins, dtype=np.int64)
     for u, overlap in zip(utterances, _overlap_samples(utterances, activity)):
-        counts[min(overlap * 5 // u.duration_samples, 4)] += u.word_count
+        counts[min(overlap * bins // u.duration_samples, bins - 1)] += u.word_count
     return counts
 
 
@@ -438,5 +424,5 @@ def word_fractions(counts: np.ndarray) -> np.ndarray:
 
 def overlap_histogram(utterances, activity: SessionActivity) -> np.ndarray:
     """Word-weighted distribution of utterance overlap: the fractions of
-    the five bins of ``overlap_word_counts``."""
+    the bins of ``overlap_word_counts``."""
     return word_fractions(overlap_word_counts(utterances, activity))

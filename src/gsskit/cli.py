@@ -106,16 +106,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_mono(path) -> Waveform:
-    wave = read_wav(path)
-    if wave.num_channels > 1:
-        logger.warning("%s has %d channels, using the first", path, wave.num_channels)
-    return wave
-
-
 def _cmd_metrics(args) -> int:
     paths = [path for path in (args.est, args.ref, args.mix) if path]
-    waves = [_load_mono(path) for path in paths]
+    waves = [read_wav(path) for path in paths]
+    for path, wave in zip(paths, waves):
+        if wave.num_channels > 1:
+            raise ValueError(f"{path} has {wave.num_channels} channels; metrics scores mono "
+                             f"files, so cut the channel to score into its own file")
     if len({wave.sample_rate for wave in waves}) > 1:
         raise ValueError("signals differ in sample rate: " + ", ".join(
             f"{path} at {wave.sample_rate} Hz" for path, wave in zip(paths, waves)))

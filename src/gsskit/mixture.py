@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Spectrogram
+from .signal import Spectrogram, _check_field_types
 
 __all__ = [
     "DirectionalObservations",
@@ -107,6 +107,7 @@ class EmConfig:
     iterations: int = 20
 
     def __post_init__(self):
+        _check_field_types(self, "em")
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
 

@@ -39,7 +39,7 @@ from .beamforming import (
 )
 from .io import dump_json, load_json, read_wav, utterance_filename, write_wav
 from .mixture import EmConfig, em_fit, normalize_observations
-from .signal import StftConfig, Waveform, istft, stft
+from .signal import StftConfig, Waveform, _check_field_types, istft, stft
 from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
@@ -78,10 +78,7 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("wpe_enabled", "masking"):  # a truthy string would switch it on
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be a boolean, got {type(value).__name__}")
+        _check_field_types(self, "config")
         if not 0 <= self.context_seconds < np.inf:  # also turns NaN away
             raise ValueError(f"context_seconds must be finite and non-negative, "
                              f"got {self.context_seconds}")
@@ -93,8 +90,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Build from a JSON document; ``stft``, ``wpe`` and ``em`` are
-        nested objects. Unknown keys and values of the wrong JSON type are
-        rejected at every level."""
+        nested objects. Unknown keys are rejected at every level, and each
+        config class rejects a value of the wrong type."""
         kwargs = _section_kwargs(cls, raw, "config")
         for key, sub in (("stft", StftConfig), ("wpe", WpeConfig), ("em", EmConfig)):
             if key in kwargs:
@@ -102,37 +99,15 @@ class PipelineConfig:
         return cls(**kwargs)
 
 
-# JSON types each config field type accepts, and how to name them. bool
-# is a subclass of int, so the numeric fields turn it away explicitly.
-_JSON_TYPES = {
-    bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    tuple: ((list,), "a list of strings"),
-}
-
-
 def _section_kwargs(cls, raw, section: str) -> dict:
-    """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``,
-    rejecting anything else with a message that names ``section`` and,
-    for a value of the wrong type, the key."""
+    """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``;
+    a non-object or an unknown key is rejected with a message that names
+    ``section``."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be an object, got {type(raw).__name__}")
-    fields = cls.__dataclass_fields__
-    unknown = set(raw) - set(fields)
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        kind = fields[key].type
-        if kind not in _JSON_TYPES:
-            continue  # a nested section, checked as its own section
-        accepted, name = _JSON_TYPES[kind]
-        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
-        if kind is tuple:
-            ok = ok and all(isinstance(item, str) for item in value)
-        if not ok:
-            raise ValueError(f"{section}.{key} must be {name}, got {type(value).__name__}")
     return dict(raw)
 
 

@@ -7,7 +7,8 @@ Shape conventions used throughout the package:
     L: number of time-domain samples
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +19,30 @@ __all__ = [
     "stft",
     "istft",
 ]
+
+# What a config field of each annotated type takes, and how a message
+# names it. bool is a subclass of int, so the numeric types turn it away.
+_FIELD_TYPES = {
+    bool: (bool, "a boolean"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: ((list, tuple), "a list of strings"),
+}
+
+
+def _check_field_types(config, section: str) -> None:
+    """Reject a field of the config dataclass ``config`` whose value does
+    not have its annotated type, as ``<section>.<field> must be ...``; a
+    nested section must be an instance of its config class."""
+    for field in fields(config):
+        value, kind = getattr(config, field.name), field.type
+        accepted, name = _FIELD_TYPES.get(kind, (kind, f"of type {kind.__name__}"))
+        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+        if kind is tuple:
+            ok = ok and all(isinstance(item, str) for item in value)
+        if not ok:
+            raise ValueError(f"{section}.{field.name} must be {name}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +63,7 @@ class StftConfig:
     shift: int = 256
 
     def __post_init__(self):
+        _check_field_types(self, "stft")
         if self.fft_size <= 0 or self.fft_size % 2 != 0:
             raise ValueError(
                 f"bad stft config: fft_size must be a positive even integer, "

@@ -117,14 +117,22 @@ def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
     return filters
 
 
+def _require(spec: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"{where} has no {key!r}")
+
+
 def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     """Render a scene description into microphone signals.
 
     The spec is a plain dict: duration (seconds), channels, a list of
     sources (speaker label, kind "noise" or "chirp", activity intervals in
     seconds, optional band/sweep/gain), a mixing block of kind "delay" or
-    "reverb", and an optional snr_db for white sensor noise.
+    "reverb", and an optional snr_db for white sensor noise. A missing
+    required key raises ValueError naming it.
     """
+    _require(spec, ("duration", "channels", "sources"), "scene spec")
     rng = np.random.default_rng(seed)
     duration = float(spec["duration"])
     channels = int(spec["channels"])
@@ -139,6 +147,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     sources = spec["sources"]
     if not sources:
         raise ValueError("scene needs at least one source")
+    for index, source in enumerate(sources):
+        _require(source, ("speaker", "kind", "activity"), f"scene source {index}")
     speakers = tuple(str(s["speaker"]) for s in sources)
     if len(set(speakers)) != len(speakers):
         raise ValueError("source speaker labels must be unique")

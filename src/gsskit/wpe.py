@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Spectrogram
+from .signal import Spectrogram, _check_field_types
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +39,7 @@ class WpeConfig:
     iterations: int = 3
 
     def __post_init__(self):
+        _check_field_types(self, "wpe")
         if self.taps <= 0:
             raise ValueError(f"taps must be positive, got {self.taps}")
         if self.delay < 1:

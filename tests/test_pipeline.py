@@ -95,7 +95,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
 @pytest.mark.parametrize("value", ["false", "off", 0, 1, None])
 def test_config_rejects_a_switch_that_is_not_a_boolean(field, value):
     # A string such as "false" is truthy and would turn the stage on.
-    with pytest.raises(ValueError, match=f"^{field} must be a boolean, got {type(value).__name__}$"):
+    with pytest.raises(ValueError,
+                       match=f"^config.{field} must be a boolean, got {type(value).__name__}$"):
         PipelineConfig(**{field: value})
 
 
@@ -148,8 +149,49 @@ def test_config_rejects_removed_keys(section, key, value):
     ({"masking": "auto"}, "config.masking must be a boolean, got str"),
 ])
 def test_config_rejects_values_of_the_wrong_type(doc, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    from gsskit import EmConfig, StftConfig, WpeConfig
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PipelineConfig.from_dict(doc)
+    # The same value given from Python meets the same rule and message.
+    sections = {"stft": StftConfig, "wpe": WpeConfig, "em": EmConfig}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(**{key: sections[key](**value) if key in sections else value
+                          for key, value in doc.items()})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: g.WpeConfig(taps=2.5), "wpe.taps must be an integer, got float"),
+    (lambda g: g.EmConfig(iterations=True), "em.iterations must be an integer, got bool"),
+    (lambda g: g.StftConfig(fft_size="512"), "stft.fft_size must be an integer, got str"),
+    (lambda g: g.PipelineConfig(output_dir=3), "config.output_dir must be a string, got int"),
+    (lambda g: g.PipelineConfig(context_seconds="1"),
+     "config.context_seconds must be a number, got str"),
+    (lambda g: g.PipelineConfig(wpe={"taps": 3}),
+     "config.wpe must be of type WpeConfig, got dict"),
+    (lambda g: g.PipelineConfig(em=g.WpeConfig()),
+     "config.em must be of type EmConfig, got WpeConfig"),
+])
+def test_config_rejects_a_wrong_type_from_python_at_construction(build, message):
+    # Each would otherwise fail every utterance inside WPE or EM, with a
+    # TypeError or AttributeError that names no setting.
+    import gsskit
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(gsskit)
+
+
+def test_config_takes_numpy_scalars_and_a_tuple_of_arrays():
+    from gsskit import EmConfig, StftConfig, WpeConfig
+
+    config = PipelineConfig(
+        arrays=("U01", "U02"), stft=StftConfig(fft_size=np.int64(512), shift=np.int32(128)),
+        wpe=WpeConfig(taps=np.int64(4)), em=EmConfig(iterations=np.int16(3)),
+        context_seconds=np.float32(1.5), workers=np.int64(2),
+    )
+    assert config.arrays == ("U01", "U02")
+    assert (config.stft.fft_size, config.wpe.taps, config.em.iterations) == (512, 4, 3)
+    assert PipelineConfig(arrays=["U01"]).arrays == ("U01",)
 
 
 def test_config_rejects_an_stft_that_istft_cannot_invert():
@@ -722,6 +764,25 @@ def test_cli_metrics_rejects_signals_of_different_sample_rates(tmp_path, capsys)
     assert line.startswith("gsskit: error: ")
     assert f"{tmp_path / 'est.wav'} at 16000 Hz" in line
     assert f"{tmp_path / 'ref.wav'} at 8000 Hz" in line
+
+
+@pytest.mark.parametrize("option", ["est", "ref", "mix"])
+def test_cli_metrics_rejects_a_multi_channel_file(tmp_path, capsys, option):
+    # An enhanced file follows its utterance's reference channel, which
+    # need not be channel 0, so no channel is picked on the caller's behalf.
+    rng = np.random.default_rng(7)
+    args = ["metrics"]
+    for name in ("est", "ref", "mix"):
+        channels = 3 if name == option else 1
+        write_wav(tmp_path / f"{name}.wav",
+                  Waveform(rng.uniform(-0.5, 0.5, (channels, 1600)), SAMPLE_RATE))
+        args += [f"--{name}", str(tmp_path / f"{name}.wav")]
+    capsys.readouterr()
+    assert cli_main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"gsskit: error: {tmp_path / f'{option}.wav'} has 3 channels")
 
 
 def test_cli_analyze_overlap(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gsskit import SAMPLE_RATE, simulate_scene
+from gsskit.cli import main as cli_main
+from gsskit.io import dump_json
 
 
 def two_speaker_spec():
@@ -156,6 +158,28 @@ def test_scene_rejects_duplicate_speakers_and_bad_kind():
     spec["mixing"] = {"kind": "anechoic"}
     with pytest.raises(ValueError, match="mixing"):
         simulate_scene(spec, seed=0)
+
+
+@pytest.mark.parametrize("source, key, where", [
+    (None, "duration", "scene spec"),
+    (None, "channels", "scene spec"),
+    (None, "sources", "scene spec"),
+    (0, "speaker", "scene source 0"),
+    (1, "kind", "scene source 1"),
+    (1, "activity", "scene source 1"),
+])
+def test_cli_simulate_names_a_missing_spec_key(tmp_path, capsys, source, key, where):
+    # One error line that names the key and status 2, not a KeyError
+    # traceback.
+    spec = two_speaker_spec()
+    del (spec if source is None else spec["sources"][source])[key]
+    dump_json(spec, tmp_path / "spec.json")
+    capsys.readouterr()
+    code = cli_main(["simulate", "--spec", str(tmp_path / "spec.json"), "--seed", "0",
+                     "--out", str(tmp_path / "scene")])
+    assert code == 2
+    assert capsys.readouterr().err == f"gsskit: error: {where} has no {key!r}\n"
+    assert not (tmp_path / "scene").exists()
 
 
 @pytest.mark.parametrize("f0, f1, phi", [(200.0, 3500.0, 0.0), (300, 3500, 123.4), (3000.0, 150.0, 359.9)])

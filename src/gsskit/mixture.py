@@ -9,11 +9,11 @@ by construction.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import Spectrogram, _check_field_types
+from .signal import Spectrogram, _check_fields
 
 __all__ = [
     "DirectionalObservations",
@@ -104,12 +104,10 @@ class EmConfig:
             the only fit of an utterance.
     """
 
-    iterations: int = 20
+    iterations: int = field(default=20, metadata={"min": 1})
 
     def __post_init__(self):
-        _check_field_types(self, "em")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        _check_fields(self, "em")
 
 
 def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:

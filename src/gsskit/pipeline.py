@@ -11,7 +11,7 @@ posterior when masking is on, and resynthesises exactly the core duration.
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .beamforming import (
 )
 from .io import dump_json, load_json, read_wav, utterance_filename, write_wav
 from .mixture import EmConfig, em_fit, normalize_observations
-from .signal import StftConfig, Waveform, _check_field_types, istft, stft
+from .signal import StftConfig, Waveform, _check_fields, istft, stft
 from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
@@ -73,29 +73,26 @@ class PipelineConfig:
     wpe_enabled: bool = True
     em: EmConfig = field(default_factory=EmConfig)
     masking: bool = False
-    context_seconds: float = 15.0
+    context_seconds: float = field(default=15.0, metadata={"min": 0})
     output_dir: str = "enhanced"
-    workers: int = 1
+    workers: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self):
-        _check_field_types(self, "config")
-        if not 0 <= self.context_seconds < np.inf:  # also turns NaN away
-            raise ValueError(f"context_seconds must be finite and non-negative, "
-                             f"got {self.context_seconds}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        _check_fields(self, "config")
         self.stft.synthesis_weights()  # rejects an STFT that istft cannot invert
         object.__setattr__(self, "arrays", tuple(self.arrays))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Build from a JSON document; ``stft``, ``wpe`` and ``em`` are
-        nested objects. Unknown keys are rejected at every level, and each
-        config class rejects a value of the wrong type."""
+        nested objects, one for each field whose type is a config class.
+        Unknown keys are rejected at every level, and each config class
+        rejects a value of the wrong type or below its bound."""
         kwargs = _section_kwargs(cls, raw, "config")
-        for key, sub in (("stft", StftConfig), ("wpe", WpeConfig), ("em", EmConfig)):
-            if key in kwargs:
-                kwargs[key] = sub(**_section_kwargs(sub, kwargs[key], key))
+        for item in fields(cls):
+            sub = item.type
+            if is_dataclass(sub) and item.name in kwargs:
+                kwargs[item.name] = sub(**_section_kwargs(sub, kwargs[item.name], item.name))
         return cls(**kwargs)
 
 

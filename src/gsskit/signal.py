@@ -7,8 +7,9 @@ Shape conventions used throughout the package:
     L: number of time-domain samples
 """
 
+import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,18 +32,23 @@ _FIELD_TYPES = {
 }
 
 
-def _check_field_types(config, section: str) -> None:
+def _check_fields(config, section: str) -> None:
     """Reject a field of the config dataclass ``config`` whose value does
-    not have its annotated type, as ``<section>.<field> must be ...``; a
-    nested section must be an instance of its config class."""
-    for field in fields(config):
-        value, kind = getattr(config, field.name), field.type
+    not have its annotated type, is not finite (a float) or lies below the
+    ``min`` of its metadata, as ``<section>.<field> must be ...``; a nested
+    section must be an instance of its config class."""
+    for item in fields(config):
+        value, kind = getattr(config, item.name), item.type
+        where = f"{section}.{item.name}"
         accepted, name = _FIELD_TYPES.get(kind, (kind, f"of type {kind.__name__}"))
-        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
-        if kind is tuple:
-            ok = ok and all(isinstance(item, str) for item in value)
+        ok = (isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+              and (kind is not tuple or all(isinstance(element, str) for element in value)))
         if not ok:
-            raise ValueError(f"{section}.{field.name} must be {name}, got {type(value).__name__}")
+            raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value}")
+        if "min" in item.metadata and value < item.metadata["min"]:
+            raise ValueError(f"{where} must be at least {item.metadata['min']}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,27 +59,22 @@ class StftConfig:
     are mirrored before framing.
 
     Attributes:
-        fft_size: DFT length in samples, must be even.
-        shift: hop between adjacent frames in samples, 0 < shift <= fft_size;
+        fft_size: DFT length in samples, even and at least 2.
+        shift: hop between adjacent frames in samples, 1 <= shift <= fft_size;
             :func:`istft` also needs windows that overlap enough
             (:meth:`synthesis_weights`).
     """
 
-    fft_size: int = 1024
-    shift: int = 256
+    fft_size: int = field(default=1024, metadata={"min": 2})
+    shift: int = field(default=256, metadata={"min": 1})
 
     def __post_init__(self):
-        _check_field_types(self, "stft")
-        if self.fft_size <= 0 or self.fft_size % 2 != 0:
-            raise ValueError(
-                f"bad stft config: fft_size must be a positive even integer, "
-                f"got {self.fft_size}"
-            )
-        if not 0 < self.shift <= self.fft_size:
-            raise ValueError(
-                f"bad stft config: shift must satisfy 0 < shift <= fft_size, "
-                f"got shift={self.shift}, fft_size={self.fft_size}"
-            )
+        _check_fields(self, "stft")
+        if self.fft_size % 2 != 0:
+            raise ValueError(f"stft.fft_size must be even, got {self.fft_size}")
+        if self.shift > self.fft_size:
+            raise ValueError(f"stft.shift must be at most fft_size {self.fft_size}, "
+                             f"got {self.shift}")
 
     @property
     def num_bins(self) -> int:

@@ -118,6 +118,8 @@ def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
 
 
 def _require(spec: dict, keys, where: str) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {type(spec).__name__}")
     for key in keys:
         if key not in spec:
             raise ValueError(f"{where} has no {key!r}")
@@ -130,7 +132,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     sources (speaker label, kind "noise" or "chirp", activity intervals in
     seconds, optional band/sweep/gain), a mixing block of kind "delay" or
     "reverb", and an optional snr_db for white sensor noise. A missing
-    required key raises ValueError naming it.
+    required key, or a sources, mixing or activity value of the wrong
+    shape, raises ValueError naming the key and the source index.
     """
     _require(spec, ("duration", "channels", "sources"), "scene spec")
     rng = np.random.default_rng(seed)
@@ -143,12 +146,19 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
         raise ValueError(f"scene duration {duration}s is empty")
     session_id = spec.get("session_id", f"SYN{seed}")
     mixing = spec.get("mixing", {"kind": "delay"})
+    _require(mixing, (), "scene spec 'mixing'")
 
     sources = spec["sources"]
-    if not sources:
-        raise ValueError("scene needs at least one source")
+    if not isinstance(sources, (list, tuple)) or not sources:
+        raise ValueError(f"scene spec 'sources' must be a list of at least one source, "
+                         f"got {sources!r}")
     for index, source in enumerate(sources):
         _require(source, ("speaker", "kind", "activity"), f"scene source {index}")
+        activity = source["activity"]
+        if not isinstance(activity, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in activity):
+            raise ValueError(f"scene source {index} 'activity' must be a list of "
+                             f"[start, end] pairs, got {activity!r}")
     speakers = tuple(str(s["speaker"]) for s in sources)
     if len(set(speakers)) != len(speakers):
         raise ValueError("source speaker labels must be unique")

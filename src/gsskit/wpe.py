@@ -7,11 +7,11 @@ jointly (M inputs, M outputs); frequency bins never interact.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import Spectrogram, _check_field_types
+from .signal import Spectrogram, _check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -34,18 +34,12 @@ class WpeConfig:
         iterations: alternations of power estimation and filter refit.
     """
 
-    taps: int = 10
-    delay: int = 2
-    iterations: int = 3
+    taps: int = field(default=10, metadata={"min": 1})
+    delay: int = field(default=2, metadata={"min": 1})
+    iterations: int = field(default=3, metadata={"min": 1})
 
     def __post_init__(self):
-        _check_field_types(self, "wpe")
-        if self.taps <= 0:
-            raise ValueError(f"taps must be positive, got {self.taps}")
-        if self.delay < 1:
-            raise ValueError(f"delay must be at least 1, got {self.delay}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        _check_fields(self, "wpe")
 
 
 def wpe_dereverberate(
@@ -125,15 +119,12 @@ def wpe_dereverberate(
     g = gram.reshape(block, 2, width, 2, width)[:, :, channels:]
     cross, corr = history_gram[:, :, :channels], history_gram[:, :, channels:]
     corr_diagonal = np.einsum("bii->bi", corr.real)
-    # The predictor's identity blocks are fixed. Its filter blocks are
-    # written through two diagonal views of its (row re/im, M, column
-    # re/im, width) quadrants: `same` is (re, re) and (im, im), `swapped`
-    # is (im, re) and then (re, im).
-    quads = predictor.reshape(block, 2, channels, 2, width)
-    np.einsum("bimic->bimc", quads[..., :channels])[...] = np.eye(channels)
-    same = np.einsum("bimic->bimc", quads[..., channels:])
-    swapped = np.einsum("bimic->bimc", quads[:, ::-1, :, :, channels:])
-    signs = np.array([-1.0, 1.0])[:, None, None]
+    # The predictor's rows are (re, im) of the M outputs, its columns the
+    # rows of A; its identity blocks are fixed.
+    re_rows, im_rows = slice(None, channels), slice(channels, None)
+    tail_re, history_re = slice(None, channels), slice(channels, width)
+    tail_im, history_im = slice(width, width + channels), slice(width + channels, None)
+    predictor[:, re_rows, tail_re] = predictor[:, im_rows, tail_im] = np.eye(channels)
     out_planes = output.view(np.float64).reshape(channels, frames, bins, 2)
 
     for lo in range(0, bins, block):
@@ -170,8 +161,10 @@ def wpe_dereverberate(
             filters = np.linalg.solve(corr[:n], cross[:n])
 
             transposed = filters.transpose(0, 2, 1)
-            np.negative(transposed.real[:, None], out=same[:n])
-            np.multiply(transposed.imag[:, None], signs, out=swapped[:n])
+            np.negative(transposed.real, out=predictor[:n, re_rows, history_re])
+            predictor[:n, re_rows, history_im] = transposed.imag
+            np.negative(transposed.imag, out=predictor[:n, im_rows, history_re])
+            np.negative(transposed.real, out=predictor[:n, im_rows, history_im])
             e = np.matmul(predictor[:n], scaled[:n], out=error[:n])
             scaled_residual = np.einsum("brt,brt->bt", e, e)
             residual = lam * scaled_residual

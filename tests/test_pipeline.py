@@ -160,6 +160,31 @@ def test_config_rejects_values_of_the_wrong_type(doc, message):
                           for key, value in doc.items()})
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("stft", "fft_size", 1, "stft.fft_size must be at least 2, got 1"),
+    ("stft", "shift", 0, "stft.shift must be at least 1, got 0"),
+    ("wpe", "taps", 0, "wpe.taps must be at least 1, got 0"),
+    ("wpe", "delay", 0, "wpe.delay must be at least 1, got 0"),
+    ("wpe", "iterations", 0, "wpe.iterations must be at least 1, got 0"),
+    ("em", "iterations", 0, "em.iterations must be at least 1, got 0"),
+    ("config", "workers", 0, "config.workers must be at least 1, got 0"),
+    ("config", "context_seconds", -1, "config.context_seconds must be at least 0, got -1"),
+    ("config", "context_seconds", float("nan"), "config.context_seconds must be finite, got nan"),
+    ("config", "context_seconds", float("inf"), "config.context_seconds must be finite, got inf"),
+])
+def test_config_rejects_a_value_out_of_bounds_naming_its_section(section, key, value, message):
+    # Each bounded field one below its bound: the same key in two sections
+    # (wpe.iterations, em.iterations) gets two messages.
+    from gsskit import EmConfig, StftConfig, WpeConfig
+
+    doc = {key: value} if section == "config" else {section: {key: value}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_dict(json.loads(json.dumps(doc)))
+    build = {"stft": StftConfig, "wpe": WpeConfig, "em": EmConfig, "config": PipelineConfig}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build[section](**{key: value})
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda g: g.WpeConfig(taps=2.5), "wpe.taps must be an integer, got float"),
     (lambda g: g.EmConfig(iterations=True), "em.iterations must be an integer, got bool"),
@@ -575,7 +600,9 @@ def test_run_batch_worker_count_does_not_change_output(tmp_path):
     assert blobs[1] == blobs[2]
 
 
-def test_run_batch_records_failures(tmp_path):
+def test_run_batch_records_failures(tmp_path, monkeypatch):
+    from gsskit import pipeline
+
     scene = small_scene()
     manifest = write_session(tmp_path, scene)
     doc = json.load(open(manifest["sessions"][0]["annotations"]))
@@ -589,11 +616,59 @@ def test_run_batch_records_failures(tmp_path):
         }
     )
     json.dump(doc, open(manifest["sessions"][0]["annotations"], "w"))
+    # Speaker C's utterance fails inside enhancement; the batch records it
+    # and goes on with the others.
+    enhance = pipeline.enhance_utterance
+
+    def failing_for_c(utterance, *args, **kwargs):
+        if utterance.speaker_id == "C":
+            raise np.linalg.LinAlgError("singular matrix")
+        return enhance(utterance, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "enhance_utterance", failing_for_c)
     config = fast_config(output_dir=str(tmp_path / "out"))
     report = run_batch(manifest, config)
     statuses = [row["status"] for row in report["utterances"]]
     assert statuses.count("ok") >= 2
     assert len(report["utterances"]) == 3
+    assert statuses == ["ok", "ok", "failed"]
+    failed = report["utterances"][2]
+    assert (failed["speaker_id"], failed["error"]) == ("C", "singular matrix")
+    assert report["failures"] == 1
+    assert all(Path(row["path"]).exists() for row in report["utterances"][:2])
+    assert not (tmp_path / "out" / "SYN5" / "C-2900_2950.wav").exists()
+    dump_json(manifest, tmp_path / "manifest.json")
+    code = cli_main(["enhance", "--manifest", str(tmp_path / "manifest.json"),
+                     "--output-dir", str(tmp_path / "cli")])
+    assert code == 1
+
+
+def test_run_batch_reads_chime5_annotations_on_the_array_clock(tmp_path):
+    # Per-device timestamp objects: the array's own clock is used, not
+    # "original", and the output equals a native manifest with those times.
+    scene = small_scene()
+    native = write_session(tmp_path, scene)
+    entry = native["sessions"][0]
+    wrong = {"start_time": "0:00:00.00", "end_time": "0:00:00.50"}
+    rows = []
+    for row in scene.annotations:
+        rows.append({"session_id": row["session_id"], "speaker": row["speaker_id"],
+                     "words": row["words"],
+                     **{key: {"U01": row[key], "original": wrong[key]}
+                        for key in ("start_time", "end_time")}})
+    rows.append({"session_id": scene.session_id, "speaker": None,
+                 "start_time": "0:00:00.00", "end_time": "0:00:01.00"})
+    dump_json(rows, tmp_path / "chime5.json")
+    chime5 = {"sessions": [dict(entry, annotations=str(tmp_path / "chime5.json"),
+                                annotation_format="chime5")]}
+    outputs = {}
+    for name, manifest in (("native", native), ("chime5", chime5)):
+        report = run_batch(manifest, fast_config(output_dir=str(tmp_path / name)))
+        assert report["failures"] == 0
+        outputs[name] = [(Path(row["path"]).name, open(row["path"], "rb").read())
+                         for row in report["utterances"]]
+    assert [name for name, _ in outputs["chime5"]] == ["A-300_1600.wav", "B-1200_2700.wav"]
+    assert outputs["chime5"] == outputs["native"]
 
 
 def test_run_batch_accepts_inline_and_file_silences(tmp_path):
@@ -1066,7 +1141,7 @@ def test_run_batch_rejects_a_manifest_without_a_sessions_list(
 
 @pytest.mark.parametrize("config, message", [
     ({"workers": 1.5}, "config.workers must be an integer, got float"),
-    ({"em": {"iterations": 0}}, "iterations must be at least 1, got 0"),
+    ({"em": {"iterations": 0}}, "em.iterations must be at least 1, got 0"),
     ({"stft": {"fft_size": 256, "shift": 256}},
      "reconstruction unsupported: window/shift pair (hann, 256/256) does not cover "
      "all sample positions"),

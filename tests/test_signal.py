@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,21 +25,22 @@ def test_config_defaults():
     assert config.num_bins == 513
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(fft_size=0),
-        dict(fft_size=-4),
-        dict(fft_size=7),
-        dict(shift=0),
-        dict(shift=-1),
-        dict(fft_size=64, shift=65),
-        dict(fft_size=1, shift=1),
-        dict(shift=1025),
-    ],
-)
-def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError, match="bad stft config"):
+BAD_STFT_CONFIGS = [
+    (dict(fft_size=0), "stft.fft_size must be at least 2, got 0"),
+    (dict(fft_size=-4), "stft.fft_size must be at least 2, got -4"),
+    (dict(fft_size=7), "stft.fft_size must be even, got 7"),
+    (dict(shift=0), "stft.shift must be at least 1, got 0"),
+    (dict(shift=-1), "stft.shift must be at least 1, got -1"),
+    (dict(fft_size=64, shift=65), "stft.shift must be at most fft_size 64, got 65"),
+    (dict(fft_size=1, shift=1), "stft.fft_size must be at least 2, got 1"),
+    (dict(shift=1025), "stft.shift must be at most fft_size 1024, got 1025"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_STFT_CONFIGS,
+                         ids=[f"kwargs{i}" for i in range(len(BAD_STFT_CONFIGS))])
+def test_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         StftConfig(**kwargs)
 
 

@@ -182,6 +182,31 @@ def test_cli_simulate_names_a_missing_spec_key(tmp_path, capsys, source, key, wh
     assert not (tmp_path / "scene").exists()
 
 
+@pytest.mark.parametrize("source, key, value, message", [
+    (None, "sources", 5, "scene spec 'sources' must be a list of at least one source, got 5"),
+    (None, "sources", [{"speaker": "A", "kind": "noise", "activity": [[0.5, 2.0]]}, "B"],
+     "scene source 1 must be an object, got str"),
+    (None, "mixing", "reverb", "scene spec 'mixing' must be an object, got str"),
+    (1, "activity", [[0.1]],
+     "scene source 1 'activity' must be a list of [start, end] pairs, got [[0.1]]"),
+    (0, "activity", 0.5,
+     "scene source 0 'activity' must be a list of [start, end] pairs, got 0.5"),
+])
+def test_cli_simulate_names_a_malformed_spec_value(tmp_path, capsys, source, key, value,
+                                                    message):
+    # A value of the wrong shape is one error line naming the key and the
+    # source, with status 2, not a TypeError or AttributeError traceback.
+    spec = two_speaker_spec()
+    (spec if source is None else spec["sources"][source])[key] = value
+    dump_json(spec, tmp_path / "spec.json")
+    capsys.readouterr()
+    code = cli_main(["simulate", "--spec", str(tmp_path / "spec.json"), "--seed", "0",
+                     "--out", str(tmp_path / "scene")])
+    assert code == 2
+    assert capsys.readouterr().err == f"gsskit: error: {message}\n"
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("f0, f1, phi", [(200.0, 3500.0, 0.0), (300, 3500, 123.4), (3000.0, 150.0, 359.9)])
 def test_linear_chirp_is_bit_identical_to_scipy(f0, f1, phi):
     signal = pytest.importorskip("scipy.signal")

@@ -9,14 +9,13 @@ centisecond is a whole number of samples at that rate.
 import bisect
 import itertools
 import logging
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mixture import ActivityMask
-from .signal import StftConfig
+from .signal import StftConfig, _check_object, _check_spans
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +134,11 @@ def _parse_rows(entries, speaker_key: str, pick_time, skip=lambda entry: False) 
         raise ValueError("annotation document must be a JSON array")
     utterances = []
     for index, entry in enumerate(entries):
+        where = f"annotation entry {index}"
+        if skip(_check_object(entry, where)):
+            continue
+        _check_object(entry, where, ("session_id", speaker_key, "start_time", "end_time"))
         try:
-            if not isinstance(entry, dict):
-                raise ValueError(f"expected an object, got {type(entry).__name__}")
-            if skip(entry):
-                continue
             words = entry.get("words", "")
             if not isinstance(words, str):
                 raise ValueError(f"words must be a string, got {type(words).__name__}")
@@ -152,10 +151,8 @@ def _parse_rows(entries, speaker_key: str, pick_time, skip=lambda entry: False) 
                     words=_lexical_tokens(words),
                 )
             )
-        except KeyError as err:
-            raise ValueError(f"annotation entry {index} lacks key {err}") from None
         except ValueError as err:
-            raise ValueError(f"annotation entry {index}: {err}") from None
+            raise ValueError(f"{where}: {err}") from None
     return utterances
 
 
@@ -295,21 +292,9 @@ def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivit
             finite and with start < end; anything else raises ValueError
             naming the speaker and the index of the span.
     """
-    if not isinstance(silences, dict):
-        raise ValueError(f"silences must be an object of speaker id -> spans, "
-                         f"got {type(silences).__name__}")
     refined = dict(activity.intervals)
-    for speaker, spans in silences.items():
-        if not isinstance(spans, (list, tuple)):
-            raise ValueError(f"silences of speaker {speaker} must be a list of "
-                             f"[start, end] pairs, got {type(spans).__name__}")
-        for index, span in enumerate(spans):
-            if not (isinstance(span, (list, tuple)) and len(span) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                            and math.isfinite(v) for v in span)
-                    and span[0] < span[1]):
-                raise ValueError(f"silences of speaker {speaker}, span {index}: expected "
-                                 f"[start, end] in seconds with start < end, got {span!r}")
+    for speaker, spans in _check_object(silences, "silences").items():
+        _check_spans(spans, f"silences of speaker {speaker}")
         if speaker not in refined:
             logger.warning("silence info for unknown speaker %s ignored", speaker)
             continue

@@ -2,18 +2,10 @@
 
 import numpy as np
 
-from .signal import Waveform
-
 __all__ = ["si_sdr"]
 
 
 def _as_mono(signal) -> np.ndarray:
-    if isinstance(signal, Waveform):
-        if signal.num_channels != 1:
-            raise ValueError(
-                f"metric expects a mono signal, got {signal.num_channels} channels"
-            )
-        return signal.samples[0]
     arr = np.asarray(signal, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"metric expects a 1-dim signal, got shape {arr.shape}")
@@ -21,7 +13,7 @@ def _as_mono(signal) -> np.ndarray:
 
 
 def si_sdr(estimate, reference) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB.
+    """Scale-invariant signal-to-distortion ratio in dB of two 1-D arrays.
 
     The reference is rescaled by the orthogonal projection of the estimate
     onto it, so constant gains do not affect the score. The result is

@@ -39,7 +39,7 @@ from .beamforming import (
 )
 from .io import dump_json, load_json, read_wav, utterance_filename, write_wav
 from .mixture import EmConfig, em_fit, normalize_observations
-from .signal import StftConfig, Waveform, _check_fields, istft, stft
+from .signal import StftConfig, Waveform, _check_fields, _check_number, _check_object, istft, stft
 from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
@@ -91,7 +91,7 @@ class PipelineConfig:
         kwargs = _section_kwargs(cls, raw, "config")
         for item in fields(cls):
             sub = item.type
-            if is_dataclass(sub) and item.name in kwargs:
+            if is_dataclass(sub) and isinstance(kwargs.get(item.name), dict):
                 kwargs[item.name] = sub(**_section_kwargs(sub, kwargs[item.name], item.name))
         return cls(**kwargs)
 
@@ -100,9 +100,7 @@ def _section_kwargs(cls, raw, section: str) -> dict:
     """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``;
     a non-object or an unknown key is rejected with a message that names
     ``section``."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{section} must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(cls.__dataclass_fields__)
+    unknown = set(_check_object(raw, section)) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
     return dict(raw)
@@ -211,24 +209,21 @@ def _check_entry(index: int, entry) -> None:
     value of the wrong type; ``open`` would take an integer path as a file
     descriptor, and close it."""
     where = f"manifest entry {index}"
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
-    if not isinstance(entry.get("session_id"), str):
-        raise ValueError(f"{where}: 'session_id' must be a string")
-    audio_map = entry.get("audio")
+    _check_object(entry, where, ("session_id", "audio", "annotations"))
+    if not isinstance(entry["session_id"], str):
+        raise ValueError(f"{where} 'session_id' must be a string")
+    audio_map = entry["audio"]
     if (not isinstance(audio_map, dict) or not audio_map
             or not all(isinstance(path, str) for path in audio_map.values())):
-        raise ValueError(f"{where}: 'audio' must be a non-empty object of array id -> WAV path")
-    if "annotations" not in entry:
-        raise ValueError(f"{where}: 'annotations' is missing")
+        raise ValueError(f"{where} 'audio' must be a non-empty object of array id -> WAV path")
     if not isinstance(entry["annotations"], str):
-        raise ValueError(f"{where}: 'annotations' must be the path of a JSON file")
+        raise ValueError(f"{where} 'annotations' must be the path of a JSON file")
     if not isinstance(entry.get("silences", {}), (dict, str, type(None))):
-        raise ValueError(f"{where}: 'silences' must be an object or the path of a JSON file")
-    length = entry.get("length_seconds", 1.0)  # absent: the audio's duration
-    if isinstance(length, bool) or not isinstance(length, (int, float)) or not 0 < length < np.inf:
-        raise ValueError(f"{where}: 'length_seconds' must be a number, finite and above 0, "
-                         f"got {length!r}")
+        raise ValueError(f"{where} 'silences' must be an object or the path of a JSON file")
+    if "length_seconds" in entry:  # absent: the audio's duration
+        length = _check_number(entry["length_seconds"], f"{where} 'length_seconds'")
+        if length <= 0:
+            raise ValueError(f"{where} 'length_seconds' must be above 0, got {length}")
 
 
 def _load_session(entry: dict, config: PipelineConfig):
@@ -337,16 +332,11 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     end) is not enhanced again; it is a failed row whose error names that
     file.
     """
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest must be an object, got {type(manifest).__name__}")
-    if "sessions" not in manifest:
-        raise ValueError(f"manifest has no 'sessions' list, only keys {sorted(manifest)}")
-    if not isinstance(manifest["sessions"], list):
-        raise ValueError(
-            f"manifest 'sessions' must be a list, got {type(manifest['sessions']).__name__}"
-        )
+    sessions = _check_object(manifest, "manifest", ("sessions",))["sessions"]
+    if not isinstance(sessions, list):
+        raise ValueError(f"manifest 'sessions' must be a list, got {type(sessions).__name__}")
     report = {"output_dir": config.output_dir, "utterances": [], "failures": 0}
-    for index, entry in enumerate(manifest["sessions"]):
+    for index, entry in enumerate(sessions):
         rows = _run_session(index, entry, config)
         report["utterances"] += rows
         report["failures"] += sum(row["status"] == "failed" for row in rows)

@@ -21,34 +21,70 @@ __all__ = [
     "istft",
 ]
 
-# What a config field of each annotated type takes, and how a message
-# names it. bool is a subclass of int, so the numeric types turn it away.
+
+def _check_number(value, where: str, integer: bool = False, minimum=None):
+    """``value`` if it is a number, an integer with no fraction if ``integer``,
+    never a bool, finite and at least ``minimum``; else ValueError."""
+    kind, name = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+    if not integer and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{where} must be at least {minimum}, got {value}")
+    return value
+
+
+def _check_object(value, where: str, keys=()):
+    """``value`` if it is a JSON object holding each of ``keys``, else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{where} has no {key!r}")
+    return value
+
+
+def _check_span(value, where: str):
+    """``value`` if it is a [start, end] pair of finite numbers, start < end."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value) and value[0] < value[1]):
+        raise ValueError(f"{where} must be [start, end] with finite start < end, got {value!r}")
+    return value
+
+
+def _check_spans(value, where: str):
+    """``value`` if it is a list of :func:`_check_span` pairs, each named by its index."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} must be a list of [start, end] pairs, got {value!r}")
+    for index, span in enumerate(value):
+        _check_span(span, f"{where}, span {index}")
+    return value
+
+
+# What a config field of each other annotated type takes, and its name.
 _FIELD_TYPES = {
     bool: (bool, "a boolean"),
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
     str: (str, "a string"),
     tuple: ((list, tuple), "a list of strings"),
 }
 
 
 def _check_fields(config, section: str) -> None:
-    """Reject a field of the config dataclass ``config`` whose value does
-    not have its annotated type, is not finite (a float) or lies below the
-    ``min`` of its metadata, as ``<section>.<field> must be ...``; a nested
-    section must be an instance of its config class."""
+    """Reject a field of the config dataclass ``config`` whose value is not
+    of its annotated type, as ``<section>.<field> must be ...``; an int or
+    float field is a :func:`_check_number` of at least its metadata ``min``."""
     for item in fields(config):
         value, kind = getattr(config, item.name), item.type
         where = f"{section}.{item.name}"
+        if kind in (int, float):
+            _check_number(value, where, kind is int, item.metadata.get("min"))
+            continue
         accepted, name = _FIELD_TYPES.get(kind, (kind, f"of type {kind.__name__}"))
-        ok = (isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
-              and (kind is not tuple or all(isinstance(element, str) for element in value)))
-        if not ok:
+        if not (isinstance(value, accepted)
+                and (kind is not tuple or all(isinstance(element, str) for element in value))):
             raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
-        if kind is float and not math.isfinite(value):
-            raise ValueError(f"{where} must be finite, got {value}")
-        if "min" in item.metadata and value < item.metadata["min"]:
-            raise ValueError(f"{where} must be at least {item.metadata['min']}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activity import SAMPLE_RATE, format_time
-from .signal import Waveform
+from .signal import Waveform, _check_number, _check_object, _check_span, _check_spans
 
 __all__ = ["SyntheticScene", "simulate_scene"]
 
@@ -74,7 +74,7 @@ def _source_chunk(kind: str, length: int, source_spec: dict, rng) -> np.ndarray:
         if "band" in source_spec:
             sig = _bandpass(sig, source_spec["band"])
     elif kind == "chirp":
-        f0, f1 = (float(f) for f in source_spec.get("sweep", (200.0, 3500.0)))
+        f0, f1 = source_spec.get("sweep", (200.0, 3500.0))
         t = np.arange(length) / SAMPLE_RATE
         sig = _linear_chirp(t, f0, length / SAMPLE_RATE, f1, rng.uniform(0.0, 360.0))
     else:
@@ -104,10 +104,10 @@ def _direct_paths(channels: int, length: int, max_delay: int, rng):
 
 def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
     """Direct spike plus exponentially decaying random tail per channel."""
-    taps = int(mixing.get("taps", 64))
-    decay = float(mixing.get("decay", 8.0))
-    tail_gain = float(mixing.get("tail_gain", 0.3))
-    filters, delays, gains = _direct_paths(channels, taps, int(mixing.get("max_delay", 4)), rng)
+    taps = mixing.get("taps", 64)
+    decay = mixing.get("decay", 8.0)
+    tail_gain = mixing.get("tail_gain", 0.3)
+    filters, delays, gains = _direct_paths(channels, taps, mixing.get("max_delay", 4), rng)
     for c in range(channels):
         d = delays[c]
         tail = np.arange(d + 1, taps)
@@ -117,14 +117,6 @@ def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
     return filters
 
 
-def _require(spec: dict, keys, where: str) -> None:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be an object, got {type(spec).__name__}")
-    for key in keys:
-        if key not in spec:
-            raise ValueError(f"{where} has no {key!r}")
-
-
 def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     """Render a scene description into microphone signals.
 
@@ -132,33 +124,37 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     sources (speaker label, kind "noise" or "chirp", activity intervals in
     seconds, optional band/sweep/gain), a mixing block of kind "delay" or
     "reverb", and an optional snr_db for white sensor noise. A missing
-    required key, or a sources, mixing or activity value of the wrong
-    shape, raises ValueError naming the key and the source index.
+    required key, or a value of the wrong type or shape, raises ValueError
+    naming the key and the source index.
     """
-    _require(spec, ("duration", "channels", "sources"), "scene spec")
+    _check_object(spec, "scene spec", ("duration", "channels", "sources"))
     rng = np.random.default_rng(seed)
-    duration = float(spec["duration"])
-    channels = int(spec["channels"])
-    if channels < 2:
-        raise ValueError(f"need at least 2 channels, got {channels}")
+    duration = _check_number(spec["duration"], "scene spec 'duration'")
+    channels = _check_number(spec["channels"], "scene spec 'channels'", integer=True, minimum=2)
     length = _snap(duration)
     if length <= 0:
         raise ValueError(f"scene duration {duration}s is empty")
     session_id = spec.get("session_id", f"SYN{seed}")
-    mixing = spec.get("mixing", {"kind": "delay"})
-    _require(mixing, (), "scene spec 'mixing'")
+    mixing = _check_object(spec.get("mixing", {"kind": "delay"}), "scene spec 'mixing'")
+    for key, integer, minimum in (("taps", True, 1), ("max_delay", True, 0),
+                                  ("decay", False, None), ("tail_gain", False, None)):
+        if key in mixing:
+            _check_number(mixing[key], f"scene mixing {key!r}", integer, minimum)
+    if spec.get("snr_db") is not None:
+        _check_number(spec["snr_db"], "scene spec 'snr_db'")
 
     sources = spec["sources"]
     if not isinstance(sources, (list, tuple)) or not sources:
         raise ValueError(f"scene spec 'sources' must be a list of at least one source, "
                          f"got {sources!r}")
     for index, source in enumerate(sources):
-        _require(source, ("speaker", "kind", "activity"), f"scene source {index}")
-        activity = source["activity"]
-        if not isinstance(activity, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in activity):
-            raise ValueError(f"scene source {index} 'activity' must be a list of "
-                             f"[start, end] pairs, got {activity!r}")
+        where = f"scene source {index}"
+        _check_spans(_check_object(source, where, ("speaker", "kind", "activity"))["activity"],
+                     f"{where} 'activity'")
+        for key, check in (("band", _check_span), ("sweep", _check_span),
+                           ("gain", _check_number), ("words_per_second", _check_number)):
+            if key in source:
+                check(source[key], f"{where} {key!r}")
     speakers = tuple(str(s["speaker"]) for s in sources)
     if len(set(speakers)) != len(speakers):
         raise ValueError("source speaker labels must be unique")
@@ -166,8 +162,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     dry = np.zeros((len(sources), length))
     annotations = []
     for index, source in enumerate(sources):
-        gain = float(source.get("gain", 1.0))
-        words_per_second = float(source.get("words_per_second", 2.0))
+        gain = source.get("gain", 1.0)
+        words_per_second = source.get("words_per_second", 2.0)
         for a_s, b_s in source["activity"]:
             a, b = _snap(a_s), _snap(b_s)
             if not 0 <= a < b <= length:
@@ -189,7 +185,7 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
 
     kind = mixing.get("kind", "delay")
     if kind == "delay":
-        max_delay = int(mixing.get("max_delay", 8))
+        max_delay = mixing.get("max_delay", 8)
         filter_bank = [_direct_paths(channels, max_delay + 1, max_delay, rng)[0] for _ in sources]
     elif kind == "reverb":
         filter_bank = [_reverb_filters(channels, mixing, rng) for _ in sources]
@@ -203,10 +199,10 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
 
     mixture = images.sum(axis=0)
     noise = None
-    if "snr_db" in spec and spec["snr_db"] is not None:
+    if spec.get("snr_db") is not None:
         power = np.mean(mixture ** 2)
         if power > 0:
-            target = power / 10.0 ** (float(spec["snr_db"]) / 10.0)
+            target = power / 10.0 ** (spec["snr_db"] / 10.0)
             noise = np.sqrt(target) * rng.standard_normal((channels, length))
             mixture = mixture + noise
 

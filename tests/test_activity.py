@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_parse_annotations_native():
 def test_parse_annotations_errors():
     with pytest.raises(ValueError, match="JSON array"):
         parse_annotations({"not": "a list"})
-    with pytest.raises(ValueError, match="entry 0 lacks key"):
+    with pytest.raises(ValueError, match=r"^annotation entry 0 has no 'session_id'$"):
         parse_annotations([{"speaker_id": "A"}])
     with pytest.raises(ValueError, match="entry 1"):
         parse_annotations(
@@ -226,7 +227,8 @@ def test_parsers_reject_malformed_rows(parse, speaker_key):
     good = _row(speaker_key)
     assert len(parse([good])) == 1
     for bad in (1, "speaker", ["speaker"], None):
-        with pytest.raises(ValueError, match=r"^annotation entry 1: expected an object"):
+        message = f"annotation entry 1 must be an object, got {type(bad).__name__}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse([good, bad])
     for words in (["a", "b"], 3, None):
         with pytest.raises(ValueError, match=r"^annotation entry 0: words must be a string"):
@@ -302,18 +304,22 @@ def test_refine_with_asr_unknown_speaker_warns(caplog):
 @pytest.mark.parametrize(
     "silences, message",
     [
-        ([["A", 0.2, 0.5]], "must be an object"),
-        ({"A": [[0.5]]}, "speaker A, span 0"),
-        ({"A": 3}, "speaker A must be a list"),
-        ({"A": [[0.1, 0.2], ["x", "y"]]}, "speaker A, span 1"),
-        ({"A": [[0.1, float("nan")]]}, "speaker A, span 0"),
-        ({"A": [[0.8, 0.2]]}, "speaker A, span 0"),
+        ([["A", 0.2, 0.5]], "silences must be an object, got list"),
+        ({"A": [[0.5]]}, "silences of speaker A, span 0 must be [start, end] with finite "
+                         "start < end, got [0.5]"),
+        ({"A": 3}, "silences of speaker A must be a list of [start, end] pairs, got 3"),
+        ({"A": [[0.1, 0.2], ["x", "y"]]}, "silences of speaker A, span 1 must be [start, end] "
+                                          "with finite start < end, got ['x', 'y']"),
+        ({"A": [[0.1, float("nan")]]}, "silences of speaker A, span 0 must be [start, end] "
+                                       "with finite start < end, got [0.1, nan]"),
+        ({"A": [[0.8, 0.2]]}, "silences of speaker A, span 0 must be [start, end] with finite "
+                              "start < end, got [0.8, 0.2]"),
     ],
     ids=["list", "short-span", "not-a-list", "text-bounds", "nan-bound", "reversed"],
 )
 def test_refine_with_asr_rejects_malformed_silences(silences, message):
     activity = build_activity([Utterance("S1", "A", 0, 16000, ())])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         refine_with_asr(activity, silences)
 
 

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from gsskit import (
-    SAMPLE_RATE,
     StftConfig,
-    Waveform,
     si_sdr,
     simulate_scene,
 )
@@ -28,14 +26,6 @@ def test_si_sdr_orthogonal_perturbation():
     noise -= (np.dot(noise, x) / np.dot(x, x)) * x
     noise *= np.linalg.norm(x) / np.linalg.norm(noise) / 10.0
     assert abs(si_sdr(x + noise, x) - 20.0) < 0.1
-
-
-def test_si_sdr_accepts_waveforms():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(4000)
-    est = Waveform(x[None], SAMPLE_RATE)
-    ref = Waveform(x[None], SAMPLE_RATE)
-    assert si_sdr(est, ref) == 100.0
 
 
 def test_si_sdr_errors():

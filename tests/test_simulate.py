@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,8 @@ def test_reverb_mixing_produces_tails():
 @pytest.mark.parametrize(
     "patch,match",
     [
-        (dict(channels=1), "2 channels"),
+        pytest.param(dict(channels=1), r"^scene spec 'channels' must be at least 2, got 1$",
+                     id="patch0-channels"),
         (dict(duration=0.0), "empty"),
         (dict(sources=[]), "at least one source"),
     ],
@@ -182,22 +185,40 @@ def test_cli_simulate_names_a_missing_spec_key(tmp_path, capsys, source, key, wh
     assert not (tmp_path / "scene").exists()
 
 
+SPAN = "must be [start, end] with finite start < end, got"
+
+
 @pytest.mark.parametrize("source, key, value, message", [
     (None, "sources", 5, "scene spec 'sources' must be a list of at least one source, got 5"),
     (None, "sources", [{"speaker": "A", "kind": "noise", "activity": [[0.5, 2.0]]}, "B"],
      "scene source 1 must be an object, got str"),
     (None, "mixing", "reverb", "scene spec 'mixing' must be an object, got str"),
-    (1, "activity", [[0.1]],
-     "scene source 1 'activity' must be a list of [start, end] pairs, got [[0.1]]"),
+    (1, "activity", [[0.1]], f"scene source 1 'activity', span 0 {SPAN} [0.1]"),
     (0, "activity", 0.5,
      "scene source 0 'activity' must be a list of [start, end] pairs, got 0.5"),
+    (0, "band", 5, f"scene source 0 'band' {SPAN} 5"),
+    (1, "sweep", 3, f"scene source 1 'sweep' {SPAN} 3"),
+    (0, "activity", [["a", "b"]], f"scene source 0 'activity', span 0 {SPAN} ['a', 'b']"),
+    (1, "activity", [[float("nan"), 0.5]], f"scene source 1 'activity', span 0 {SPAN} [nan, 0.5]"),
+    (None, "duration", "x", "scene spec 'duration' must be a number, got str"),
+    (None, "channels", 2.5, "scene spec 'channels' must be an integer, got float"),
+    (0, "gain", "loud", "scene source 0 'gain' must be a number, got str"),
+    (None, "snr_db", "x", "scene spec 'snr_db' must be a number, got str"),
+    (None, "mixing", {"kind": "reverb", "taps": "many"},
+     "scene mixing 'taps' must be an integer, got str"),
+    (None, "mixing", {"kind": "delay", "max_delay": 2.7},
+     "scene mixing 'max_delay' must be an integer, got float"),
 ])
 def test_cli_simulate_names_a_malformed_spec_value(tmp_path, capsys, source, key, value,
                                                     message):
-    # A value of the wrong shape is one error line naming the key and the
-    # source, with status 2, not a TypeError or AttributeError traceback.
+    # A value of the wrong type or shape is one error line naming the key
+    # and the source, with status 2: not a TypeError traceback, not a
+    # message that names no key, and not a value silently converted (2.5
+    # channels are not 2).
     spec = two_speaker_spec()
     (spec if source is None else spec["sources"][source])[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_scene(spec, seed=0)
     dump_json(spec, tmp_path / "spec.json")
     capsys.readouterr()
     code = cli_main(["simulate", "--spec", str(tmp_path / "spec.json"), "--seed", "0",

@@ -275,3 +275,19 @@ def test_wpe_is_gain_invariant_and_channel_equivariant(name):
     permuted, _ = wpe_dereverberate(replace(spec, bins=spec.bins[order]))
     np.testing.assert_allclose(permuted.bins, out.bins[order],
                                rtol=0, atol=1e-4 * np.abs(out.bins).max())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_wpe_bins_never_interact(seed):
+    # Each bin is predicted from its own history only, so WPE of some of
+    # the bins is WPE of all of them, restricted: per-array and chunked
+    # WPE rely on it. Zeroed bins stay exactly zero.
+    spec = stft(simulate_scene(INVARIANCE_SCENES["readme"], seed=seed).mixture, StftConfig())
+    full, _ = wpe_dereverberate(spec)
+    for lo, hi in ((0, 1), (100, 117), (5, 260), (511, 513)):
+        bins = np.zeros_like(spec.bins)
+        bins[:, :, lo:hi] = spec.bins[:, :, lo:hi]
+        out, _ = wpe_dereverberate(replace(spec, bins=bins))
+        np.testing.assert_array_equal(out.bins[:, :, lo:hi], full.bins[:, :, lo:hi],
+                                      err_msg=f"bins [{lo}, {hi})")
+        assert not np.any(out.bins[:, :, :lo]) and not np.any(out.bins[:, :, hi:])

@@ -232,7 +232,8 @@ class SessionActivity:
         for spk, iv in canonical.items():
             if iv and (iv[0][0] < 0 or iv[-1][1] > self.session_samples):
                 raise ValueError(
-                    f"activity of speaker {spk} exceeds the session bounds"
+                    f"activity of speaker {spk} spans samples [{iv[0][0]}, {iv[-1][1]}), "
+                    f"outside the session of {self.session_samples} samples"
                 )
         object.__setattr__(self, "intervals", canonical)
 
@@ -263,16 +264,10 @@ def build_activity(utterances, session_seconds: float | None = None) -> SessionA
     sessions = {u.session_id for u in utterances}
     if len(sessions) != 1:
         raise ValueError(f"utterances span multiple sessions: {sorted(sessions)}")
-    last = max(u.end_samples for u in utterances)
     if session_seconds is None:
-        session_samples = last
+        session_samples = max(u.end_samples for u in utterances)
     else:
         session_samples = int(round(session_seconds * SAMPLE_RATE))
-        if session_samples < last:
-            raise ValueError(
-                f"session length {session_samples} samples is shorter than the "
-                f"last annotation end {last}"
-            )
     spans = {}
     for u in utterances:
         spans.setdefault(u.speaker_id, []).append((u.start_samples, u.end_samples))

@@ -102,6 +102,19 @@ def _masked_covariance(obs: np.ndarray, mask: np.ndarray):
     return psd, fallback
 
 
+def _check_posterior(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int) -> None:
+    """Reject a ``target_class`` outside the classes of ``gamma`` (K, T, F),
+    or a posterior whose frames and bins differ from the spectrogram's."""
+    classes, frames, bins = gamma.shape
+    if not 0 <= target_class < classes:
+        raise ValueError(f"target_class {target_class} out of range for {classes} classes")
+    if (frames, bins) != spectrogram.bins.shape[1:]:
+        raise ValueError(
+            f"posterior frames/bins {(frames, bins)} do not match "
+            f"spectrogram {spectrogram.bins.shape[1:]}"
+        )
+
+
 def estimate_psds(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int) -> PsdSet:
     """Posterior-weighted target and distortion covariances.
 
@@ -110,14 +123,7 @@ def estimate_psds(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int
     counts of the spectrogram and posterior must agree (both already
     trimmed to the core span).
     """
-    classes, frames, bins = gamma.shape
-    if not 0 <= target_class < classes:
-        raise ValueError(f"target_class {target_class} out of range for {classes} classes")
-    if spectrogram.num_frames != frames or spectrogram.num_bins != bins:
-        raise ValueError(
-            f"spectrogram frames/bins {(spectrogram.num_frames, spectrogram.num_bins)} "
-            f"do not match posterior {(frames, bins)}"
-        )
+    _check_posterior(spectrogram, gamma, target_class)
     obs = spectrogram.bins.transpose(2, 1, 0)
     target_mask = gamma[target_class].T
     distortion_mask = gamma.sum(axis=0).T - target_mask
@@ -201,13 +207,6 @@ def apply_target_mask(spectrogram: Spectrogram, gamma: np.ndarray, target_class:
     of ``gamma`` (K, T, F)."""
     if spectrogram.num_channels != 1:
         raise ValueError("target masking expects a single-channel spectrogram")
-    classes, frames, bins = gamma.shape
-    if not 0 <= target_class < classes:
-        raise ValueError(f"target_class {target_class} out of range for {classes} classes")
-    if (frames, bins) != spectrogram.bins.shape[1:]:
-        raise ValueError(
-            f"posterior frames/bins {(frames, bins)} do not match "
-            f"spectrogram {spectrogram.bins.shape[1:]}"
-        )
+    _check_posterior(spectrogram, gamma, target_class)
     masked = spectrogram.bins * gamma[target_class][None]
     return Spectrogram(masked, spectrogram.config, spectrogram.sample_rate)

@@ -24,28 +24,30 @@ _FORMAT_NAMES = {_PCM: "PCM", _IEEE_FLOAT: "IEEE float", 0x0006: "A-law", 0x0007
 # An extensible sub-format GUID is {tag-0000-0010-8000-00AA00389B71}; its
 # first four bytes hold the plain format tag.
 _SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# (format tag, bits per sample) -> sample dtype, as scipy.io.wavfile reads
-# it: 8-bit PCM is unsigned, 24-bit PCM is left-justified into int32.
-_SAMPLE_DTYPES = {
-    (_PCM, 8): np.dtype("u1"),
-    (_PCM, 16): np.dtype("<i2"),
-    (_PCM, 24): np.dtype("<i4"),
-    (_PCM, 32): np.dtype("<i4"),
-    (_IEEE_FLOAT, 32): np.dtype("<f4"),
-    (_IEEE_FLOAT, 64): np.dtype("<f8"),
+# (format tag, bits per sample) -> (sample dtype, zero, full scale); a
+# sample reads as (sample - zero) / full scale. 8-bit PCM is unsigned, and
+# 24-bit PCM is read into the upper three bytes of an int32.
+_ENCODINGS = {
+    (_PCM, 8): (np.dtype("u1"), 128.0, 128.0),
+    (_PCM, 16): (np.dtype("<i2"), 0.0, 2.0 ** 15),
+    (_PCM, 24): (np.dtype("<i4"), 0.0, 2.0 ** 31),
+    (_PCM, 32): (np.dtype("<i4"), 0.0, 2.0 ** 31),
+    (_IEEE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
+    (_IEEE_FLOAT, 64): (np.dtype("<f8"), 0.0, 1.0),
 }
 _STREAMED = 0xFFFFFFFF  # data size of a file written before its length was known
 
 
 def _parse_fmt(path, body: bytes):
-    """(sample rate, channels, bytes per sample, dtype) of a 'fmt ' chunk."""
+    """(sample rate, channels, bytes per sample, :data:`_ENCODINGS` row) of a
+    'fmt ' chunk."""
     if len(body) < 16:
         raise ValueError(f"{path}: 'fmt ' chunk of {len(body)} bytes is too short")
     tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", body[:16])
     if tag == _EXTENSIBLE and len(body) >= 40 and body[28:40] == _SUBFORMAT_TAIL:
         tag = struct.unpack("<I", body[24:28])[0]
-    dtype = _SAMPLE_DTYPES.get((tag, bits))
-    if dtype is None:
+    encoding = _ENCODINGS.get((tag, bits))
+    if encoding is None:
         name = _FORMAT_NAMES.get(tag, f"format tag 0x{tag:04x}")
         raise ValueError(
             f"{path}: unsupported WAV encoding, {name} at {bits} bits per sample; "
@@ -57,17 +59,18 @@ def _parse_fmt(path, body: bytes):
             f"{path}: block align {block_align} does not fit {channels} channels "
             f"of {bits}-bit samples"
         )
-    return rate, channels, width, dtype
+    return rate, channels, width, encoding
 
 
-def _read_riff(path):
-    """Sample rate and (frames, channels) samples of a RIFF/WAVE file.
+def read_wav(path) -> Waveform:
+    """Load a WAV file as float64 in [-1, 1], channels first.
 
-    The samples keep the dtype and values that scipy.io.wavfile.read
-    gives. Chunks other than 'fmt ' and 'data' are skipped, with the pad
-    byte after an odd size. A data chunk cut short by the end of the file
-    yields its whole frames and a warning; a streamed size (0xFFFFFFFF)
-    reads to the end without one.
+    Reads PCM 8/16/24/32-bit and IEEE float 32/64-bit, plain or
+    WAVE_FORMAT_EXTENSIBLE; any other encoding raises ValueError. Chunks
+    other than 'fmt ' and 'data' are skipped, with the pad byte after an
+    odd size. A data chunk cut short by the end of the file yields its
+    whole frames and a warning; a streamed size (0xFFFFFFFF) reads to the
+    end without one.
     """
     with open(path, "rb") as handle:
         riff = handle.read(12)
@@ -91,7 +94,7 @@ def _read_riff(path):
             handle.seek(size & 1, os.SEEK_CUR)
         if fmt is None:
             raise ValueError(f"{path}: no 'fmt ' chunk before the 'data' chunk")
-        rate, channels, width, dtype = fmt
+        rate, channels, width, (dtype, zero, scale) = fmt
         available = os.fstat(handle.fileno()).st_size - handle.tell()
         if size == _STREAMED:
             size = available
@@ -107,7 +110,10 @@ def _read_riff(path):
         wide = np.zeros((frames * channels, 4), dtype=np.uint8)
         wide[:, 1:] = raw.reshape(-1, 3)
         raw = wide
-    return rate, raw.view(dtype).reshape(frames, channels)
+    samples = raw.view(dtype).astype(np.float64)
+    samples -= zero
+    samples /= scale
+    return Waveform(samples.reshape(frames, channels).T, rate)
 
 
 @contextmanager
@@ -126,24 +132,6 @@ def _atomic_write(path):
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-
-
-def read_wav(path) -> Waveform:
-    """Load a WAV file as float64 in [-1, 1], channels first.
-
-    Reads PCM 8/16/24/32-bit and IEEE float 32/64-bit, plain or
-    WAVE_FORMAT_EXTENSIBLE; any other encoding raises ValueError.
-    """
-    rate, data = _read_riff(path)
-    if data.dtype == np.int16:
-        data = data / 32768.0
-    elif data.dtype == np.int32:
-        data = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        data = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        data = data.astype(np.float64)
-    return Waveform(data.T, rate)
 
 
 def write_wav(path, waveform: Waveform) -> None:

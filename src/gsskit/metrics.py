@@ -17,8 +17,8 @@ def si_sdr(estimate, reference) -> float:
 
     The reference is rescaled by the orthogonal projection of the estimate
     onto it, so constant gains do not affect the score. The result is
-    clipped to [-100, 100] dB; numerically identical signals report the
-    +100 cap instead of infinity.
+    clipped to [-100, 100] dB: identical signals report +100, not infinity,
+    and a silent estimate, or one orthogonal to the reference, -100.
     """
     est = _as_mono(estimate)
     ref = _as_mono(reference)
@@ -33,8 +33,8 @@ def si_sdr(estimate, reference) -> float:
     distortion = est - projection
     target_power = np.dot(projection, projection)
     distortion_power = np.dot(distortion, distortion)
-    if distortion_power <= 1e-20 * target_power:
-        return 100.0
     if target_power == 0.0:
         return -100.0
+    if distortion_power <= 1e-20 * target_power:
+        return 100.0
     return float(np.clip(10.0 * np.log10(target_power / distortion_power), -100.0, 100.0))

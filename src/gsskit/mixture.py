@@ -173,7 +173,9 @@ def _packing_maps(dim: int):
     ``packed @ unpack`` is the Hermitian B of a packing, exactly, ``packed @
     load`` is B + EPS_LOAD (trace B / D) I, and ``view @ coeffs`` packs the
     quadratic-form coefficients of B's Hermitian part: Re B_dd, then
-    Re (B_de + B_ed) and Im (B_de - B_ed) for d < e.
+    Re (B_de + B_ed) and Im (B_de - B_ed) for d < e. z^H B z is the inner
+    product of B with z z^H = ``packed @ unpack``, so ``coeffs`` is the
+    adjoint ``unpack.T``, copied to be contiguous for the GEMM.
     """
     rows, cols = _upper_pairs(dim)
     pairs = len(rows)
@@ -187,13 +189,8 @@ def _packing_maps(dim: int):
     unpack[upper + pairs, cols, rows, 1] = -1.0
     load = unpack.copy()
     load[:dim, diag, diag, 0] += EPS_LOAD / dim
-    coeffs = np.zeros((dim, dim, 2, dim * dim))
-    coeffs[diag, diag, 0, diag] = 1.0
-    coeffs[rows, cols, 0, upper] = coeffs[cols, rows, 0, upper] = 1.0
-    coeffs[rows, cols, 1, upper + pairs] = 1.0
-    coeffs[cols, rows, 1, upper + pairs] = -1.0
-    flat = dim * dim
-    return unpack.reshape(flat, -1), load.reshape(flat, -1), coeffs.reshape(-1, flat)
+    flat = unpack.reshape(dim * dim, -1)
+    return flat, load.reshape(dim * dim, -1), np.ascontiguousarray(flat.T)
 
 
 def _unpack_hermitian(packed: np.ndarray, dim: int) -> np.ndarray:

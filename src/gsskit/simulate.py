@@ -73,12 +73,10 @@ def _source_chunk(kind: str, length: int, source_spec: dict, rng) -> np.ndarray:
         sig = rng.standard_normal(length)
         if "band" in source_spec:
             sig = _bandpass(sig, source_spec["band"])
-    elif kind == "chirp":
+    else:
         f0, f1 = source_spec.get("sweep", (200.0, 3500.0))
         t = np.arange(length) / SAMPLE_RATE
         sig = _linear_chirp(t, f0, length / SAMPLE_RATE, f1, rng.uniform(0.0, 360.0))
-    else:
-        raise ValueError(f"unknown source kind {kind!r}")
     rms = np.sqrt(np.mean(sig ** 2))
     if rms > 0:
         sig = sig / rms
@@ -102,12 +100,9 @@ def _direct_paths(channels: int, length: int, max_delay: int, rng):
     return filters, delays, gains
 
 
-def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
+def _reverb_filters(channels: int, rng, taps, max_delay, decay, tail_gain) -> np.ndarray:
     """Direct spike plus exponentially decaying random tail per channel."""
-    taps = mixing.get("taps", 64)
-    decay = mixing.get("decay", 8.0)
-    tail_gain = mixing.get("tail_gain", 0.3)
-    filters, delays, gains = _direct_paths(channels, taps, mixing.get("max_delay", 4), rng)
+    filters, delays, gains = _direct_paths(channels, taps, max_delay, rng)
     for c in range(channels):
         d = delays[c]
         tail = np.arange(d + 1, taps)
@@ -117,15 +112,44 @@ def _reverb_filters(channels: int, mixing: dict, rng) -> np.ndarray:
     return filters
 
 
+# Each mixing kind's keys besides "kind": (default, integer, least value).
+_MIXING_KEYS = {
+    "delay": {"max_delay": (8, True, 0)},
+    "reverb": {"taps": (64, True, 1), "max_delay": (4, True, 0),
+               "decay": (8.0, False, None), "tail_gain": (0.3, False, None)},
+}
+
+
+def _mixing_params(mixing: dict) -> tuple:
+    """(kind, {key: value}) of a scene's mixing block, each key of the kind
+    at its :data:`_MIXING_KEYS` default unless the block sets it."""
+    kind = mixing.get("kind", "delay")
+    if not isinstance(kind, str) or kind not in _MIXING_KEYS:
+        raise ValueError(f"scene mixing 'kind' must be one of {list(_MIXING_KEYS)}, got {kind!r}")
+    keys = _MIXING_KEYS[kind]
+    for key in mixing:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"scene mixing {key!r} is not a key of kind {kind!r}: {list(keys)}")
+    params = {key: _check_number(mixing.get(key, default), f"scene mixing {key!r}", integer, least)
+              for key, (default, integer, least) in keys.items()}
+    if kind == "reverb" and params["decay"] <= 0:
+        raise ValueError(f"scene mixing 'decay' must be above 0, got {params['decay']}")
+    # The direct spike sits at a delay of at most max_delay inside the filter.
+    if kind == "reverb" and params["max_delay"] >= params["taps"]:
+        raise ValueError(f"scene mixing 'max_delay' must be below 'taps' {params['taps']}, "
+                         f"got {params['max_delay']}")
+    return kind, params
+
+
 def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     """Render a scene description into microphone signals.
 
     The spec is a plain dict: duration (seconds), channels, a list of
     sources (speaker label, kind "noise" or "chirp", activity intervals in
     seconds, optional band/sweep/gain), a mixing block of kind "delay" or
-    "reverb", and an optional snr_db for white sensor noise. A missing
-    required key, or a value of the wrong type or shape, raises ValueError
-    naming the key and the source index.
+    "reverb" (:data:`_MIXING_KEYS`), and an optional snr_db for white
+    sensor noise. A missing required key, or a value of the wrong type,
+    shape or range, raises ValueError naming the key and the source index.
     """
     _check_object(spec, "scene spec", ("duration", "channels", "sources"))
     rng = np.random.default_rng(seed)
@@ -135,11 +159,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     if length <= 0:
         raise ValueError(f"scene duration {duration}s is empty")
     session_id = spec.get("session_id", f"SYN{seed}")
-    mixing = _check_object(spec.get("mixing", {"kind": "delay"}), "scene spec 'mixing'")
-    for key, integer, minimum in (("taps", True, 1), ("max_delay", True, 0),
-                                  ("decay", False, None), ("tail_gain", False, None)):
-        if key in mixing:
-            _check_number(mixing[key], f"scene mixing {key!r}", integer, minimum)
+    kind, params = _mixing_params(
+        _check_object(spec.get("mixing", {"kind": "delay"}), "scene spec 'mixing'"))
     if spec.get("snr_db") is not None:
         _check_number(spec["snr_db"], "scene spec 'snr_db'")
 
@@ -151,6 +172,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
         where = f"scene source {index}"
         _check_spans(_check_object(source, where, ("speaker", "kind", "activity"))["activity"],
                      f"{where} 'activity'")
+        if source["kind"] not in ("noise", "chirp"):
+            raise ValueError(f"{where} 'kind' must be 'noise' or 'chirp', got {source['kind']!r}")
         for key, check in (("band", _check_span), ("sweep", _check_span),
                            ("gain", _check_number), ("words_per_second", _check_number)):
             if key in source:
@@ -183,14 +206,11 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
                 }
             )
 
-    kind = mixing.get("kind", "delay")
     if kind == "delay":
-        max_delay = mixing.get("max_delay", 8)
+        max_delay = params["max_delay"]
         filter_bank = [_direct_paths(channels, max_delay + 1, max_delay, rng)[0] for _ in sources]
-    elif kind == "reverb":
-        filter_bank = [_reverb_filters(channels, mixing, rng) for _ in sources]
     else:
-        raise ValueError(f"unknown mixing kind {kind!r}")
+        filter_bank = [_reverb_filters(channels, rng, **params) for _ in sources]
 
     images = np.zeros((len(sources), channels, length))
     for s in range(len(sources)):

@@ -274,7 +274,8 @@ def test_build_activity_errors():
         build_activity(
             [Utterance("S1", "A", 0, 10, ()), Utterance("S2", "A", 0, 10, ())]
         )
-    with pytest.raises(ValueError, match="session length"):
+    with pytest.raises(ValueError, match=r"^activity of speaker A spans samples \[0, 32000\), "
+                                         r"outside the session of 16000 samples$"):
         build_activity([Utterance("S1", "A", 0, 32000, ())], session_seconds=1.0)
 
 
@@ -481,5 +482,6 @@ def test_session_activity_canonicalizes_and_bounds():
     activity = SessionActivity("S1", {"A": [(10, 5), (0, 4), (2, 8)]}, 16000)
     assert activity.intervals["A"] == ((0, 8),)
     assert activity.speakers == ("A",)
-    with pytest.raises(ValueError, match="session bounds"):
+    with pytest.raises(ValueError, match=r"^activity of speaker A spans samples \[0, 20000\), "
+                                         r"outside the session of 16000 samples$"):
         SessionActivity("S1", {"A": [(0, 20000)]}, 16000)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_estimate_psds_rejects_bad_target():
     gamma = random_posterior(rng, 2, 4, 3)
     with pytest.raises(ValueError, match="target_class"):
         estimate_psds(spec, gamma, target_class=5)
+
+
+@pytest.mark.parametrize("apply", [estimate_psds, apply_target_mask])
+@pytest.mark.parametrize("classes, frames, freqs, target, message", [
+    (2, 6, 4, 2, "target_class 2 out of range for 2 classes"),
+    (2, 6, 4, -1, "target_class -1 out of range for 2 classes"),
+    (2, 5, 4, 1, "posterior frames/bins (5, 4) do not match spectrogram (6, 4)"),
+    (3, 6, 3, 1, "posterior frames/bins (6, 3) do not match spectrogram (6, 4)"),
+])
+def test_psds_and_target_mask_check_the_posterior_alike(apply, classes, frames, freqs, target,
+                                                         message):
+    rng = np.random.default_rng(3)
+    spec = make_spec(rng.standard_normal((1, 6, 4)) + 1j * rng.standard_normal((1, 6, 4)))
+    gamma = random_posterior(rng, classes, frames, freqs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply(spec, gamma, target)
 
 
 def test_mvdr_matches_inverse_oracle():
@@ -318,6 +335,12 @@ def test_apply_beamformer_selector_and_zero():
     np.testing.assert_allclose(out.bins[0], bins[0], atol=1e-12)
     out = apply_beamformer(spec, np.zeros((5, 3), complex))
     assert np.all(out.bins == 0)
+
+
+def test_apply_beamformer_rejects_a_channel_mismatch():
+    spec = make_spec(np.ones((3, 4, 5), complex))
+    with pytest.raises(ValueError, match=r"^beamformer has 2 channels, spectrogram has 3$"):
+        apply_beamformer(spec, np.ones((5, 2), complex))
 
 
 def test_apply_target_mask():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gsskit import SAMPLE_RATE, Utterance, Waveform
-from gsskit.io import _read_riff, dump_json, load_json, read_wav, utterance_filename, write_wav
+from gsskit.io import dump_json, load_json, read_wav, utterance_filename, write_wav
 
 
 def test_wav_round_trip(tmp_path):
@@ -125,15 +125,6 @@ def _scipy_read(path):
     return rate, data.reshape(len(data), -1)
 
 
-def _assert_reads_like_scipy(path):
-    rate, data = _read_riff(path)
-    ref_rate, ref = _scipy_read(path)
-    assert rate == ref_rate
-    assert data.dtype == ref.dtype
-    np.testing.assert_array_equal(data, ref)
-    return data
-
-
 def _scaled(data):
     """read_wav's scaling of scipy's integer and float dtypes."""
     if data.dtype == np.uint8:
@@ -141,6 +132,17 @@ def _scaled(data):
     if data.dtype.kind == "i":
         return data / float(2 ** (8 * data.dtype.itemsize - 1))
     return data.astype(np.float64)
+
+
+def _assert_reads_like_scipy(path):
+    """read_wav's samples of ``path``, checked bit for bit (-0.0 included)
+    against scipy's reading under :func:`_scaled`."""
+    wave = read_wav(path)
+    ref_rate, ref = _scipy_read(path)
+    assert wave.sample_rate == ref_rate
+    assert wave.samples.shape == ref.T.shape
+    assert wave.samples.tobytes() == _scaled(ref).T.tobytes()
+    return wave.samples
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -155,10 +157,7 @@ def test_read_wav_matches_scipy_on_scipy_files(tmp_path, dtype, channels):
         data = rng.integers(info.min, info.max, size=(257, channels), endpoint=True, dtype=dtype)
     path = tmp_path / "ref.wav"
     wavfile.write(path, SAMPLE_RATE, data[:, 0] if channels == 1 else data)
-    raw = _assert_reads_like_scipy(path)
-    wave = read_wav(path)
-    assert wave.sample_rate == SAMPLE_RATE
-    np.testing.assert_array_equal(wave.samples, _scaled(raw).T)
+    _assert_reads_like_scipy(path)
 
 
 def test_read_wav_24_bit_is_left_justified_like_scipy(tmp_path):
@@ -166,9 +165,8 @@ def test_read_wav_24_bit_is_left_justified_like_scipy(tmp_path):
     payload = b"".join(v.to_bytes(3, "little", signed=True) for v in values)
     path = tmp_path / "pcm24.wav"
     path.write_bytes(_riff(_fmt(1, 1, 24), _chunk(b"data", payload)))
-    raw = _assert_reads_like_scipy(path)
-    np.testing.assert_array_equal(raw[:, 0], np.array(values, dtype=np.int64) * 256)
-    np.testing.assert_array_equal(read_wav(path).samples[0], np.array(values) / 2.0 ** 23)
+    samples = _assert_reads_like_scipy(path)
+    np.testing.assert_array_equal(samples[0], np.array(values) / 2.0 ** 23)
 
 
 @pytest.mark.parametrize("subformat, dtype", [(1, "<i2"), (3, "<f4")])
@@ -177,7 +175,7 @@ def test_read_wav_extensible_matches_scipy(tmp_path, subformat, dtype):
     bits = 8 * np.dtype(dtype).itemsize
     path = tmp_path / "ext.wav"
     path.write_bytes(_riff(_fmt(0xFFFE, 4, bits, subformat), _chunk(b"data", data.tobytes())))
-    np.testing.assert_array_equal(_assert_reads_like_scipy(path), data)
+    np.testing.assert_array_equal(_assert_reads_like_scipy(path), _scaled(data).T)
 
 
 def test_read_wav_skips_odd_sized_chunk_and_its_pad_byte(tmp_path):
@@ -186,7 +184,7 @@ def test_read_wav_skips_odd_sized_chunk_and_its_pad_byte(tmp_path):
     path.write_bytes(_riff(
         _fmt(1, 2, 16), _chunk(b"LIST", b"odd"), _chunk(b"data", data.tobytes())
     ))
-    np.testing.assert_array_equal(_assert_reads_like_scipy(path), data)
+    np.testing.assert_array_equal(_assert_reads_like_scipy(path), _scaled(data).T)
 
 
 def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
@@ -203,8 +201,8 @@ def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
 
     path.write_bytes(whole[:-3])  # a partial last frame
     with caplog.at_level(logging.WARNING):
-        _, raw = _read_riff(path)
-    np.testing.assert_array_equal(raw, full[:-1])
+        samples = read_wav(path).samples
+    np.testing.assert_array_equal(samples, _scaled(full[:-1]).T)
     assert any("cut.wav" in r.message and "77 of its 80 bytes" in r.message
                for r in caplog.records)
 
@@ -213,8 +211,8 @@ def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
     path.write_bytes(streamed)
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        _, raw = _read_riff(path)
-    np.testing.assert_array_equal(raw, full[:-1])
+        samples = read_wav(path).samples
+    np.testing.assert_array_equal(samples, _scaled(full[:-1]).T)
     assert not caplog.records
 
 
@@ -226,6 +224,11 @@ def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
     (b"RF64" + _riff(_fmt(1, 1, 16))[4:], r"not a RIFF/WAVE file"),
     (_riff(_chunk(b"data", b"\x00" * 8)), r"no 'fmt ' chunk"),
     (_riff(_fmt(1, 1, 16)), r"no 'data' chunk"),
+    (_riff(_chunk(b"fmt ", struct.pack("<HHI", 1, 1, SAMPLE_RATE)), _chunk(b"data", b"")),
+     r": 'fmt ' chunk of 8 bytes is too short$"),
+    (_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, SAMPLE_RATE, 4 * SAMPLE_RATE, 3, 16)),
+           _chunk(b"data", b"")),
+     r": block align 3 does not fit 2 channels of 16-bit samples$"),
 ])
 def test_read_wav_rejects_other_encodings_naming_the_file(tmp_path, content, message):
     path = tmp_path / "bad.wav"

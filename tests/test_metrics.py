@@ -17,6 +17,11 @@ def test_si_sdr_identity_and_scale_invariance():
     assert si_sdr(-0.3 * x, x) == 100.0
 
 
+def test_si_sdr_scores_a_silent_estimate_at_the_floor():
+    x = np.random.default_rng(0).standard_normal(8000)
+    assert si_sdr(np.zeros_like(x), x) == -100.0
+
+
 def test_si_sdr_orthogonal_perturbation():
     # Perturbation orthogonal to the reference with power ratio 100
     # lands at 20 dB.

@@ -45,6 +45,9 @@ def test_observation_validation():
         DirectionalObservations(np.zeros((3, 4), complex), np.ones((3, 4), bool))
     with pytest.raises(ValueError, match="2 channels"):
         DirectionalObservations(np.zeros((3, 4, 1), complex), np.ones((3, 4), bool))
+    with pytest.raises(ValueError, match=r"^valid mask shape \(3, 5\) does not match units "
+                                         r"\(3, 4\)$"):
+        DirectionalObservations(np.zeros((3, 4, 2), complex), np.ones((3, 5), bool))
 
 
 def test_activity_validation():
@@ -378,6 +381,22 @@ def test_em_fit_returns_the_requested_frames():
     np.testing.assert_array_equal(part, whole[:, 12:31])
     np.testing.assert_array_equal(part_params.shapes, params.shapes)
     np.testing.assert_array_equal(part_lls, lls)
+
+
+def test_em_fit_rejects_activity_of_another_frame_count():
+    rng = np.random.default_rng(13)
+    obs = random_observations(rng, 12, 3, 2)
+    with pytest.raises(ValueError, match=r"^activity covers 11 frames, observations have 12$"):
+        em_fit(obs, random_activity(rng, 2, 11), EmConfig(iterations=1))
+
+
+@pytest.mark.parametrize("dim", range(2, 25))
+def test_packing_maps_coefficients_are_the_unpack_transpose(dim):
+    # z^H B z is the inner product of B with z z^H, so the quadratic-form
+    # coefficients are the adjoint of the unpacking.
+    unpack, _, coeffs = mixture._packing_maps(dim)
+    np.testing.assert_array_equal(coeffs, unpack.T)
+    assert coeffs.flags.c_contiguous
 
 
 def test_packed_features_reproduce_einsum_steps():

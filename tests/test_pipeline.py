@@ -709,6 +709,14 @@ def test_run_batch_fails_the_session_on_malformed_silences(tmp_path):
     assert report["failures"] == 1
 
 
+def test_run_batch_fails_a_session_without_audio_for_a_config_array(tmp_path):
+    manifest = write_session(tmp_path, small_scene())
+    config = fast_config(arrays=("U02", "U01", "U03"), output_dir=str(tmp_path / "out"))
+    (row,) = run_batch(manifest, config)["utterances"]
+    assert row["status"] == "failed"
+    assert row["error"] == "session SYN5 has no audio for arrays ['U02', 'U03']"
+
+
 def test_cli_simulate_writes_every_file_of_a_clipping_scene_at_one_gain(tmp_path):
     # The CI scene, whose mixture peaks at 5.2 and its images at 4.8 and
     # 1.4: written each at its own gain, the images on disk would not sum
@@ -922,6 +930,15 @@ OVERLAP_DOC = [
     _native("S3", "F", "0:00:00.00", "0:00:01.00", ""),
     _native("S3", "G", "0:00:00.50", "0:00:01.50", "[laughter]"),
 ]
+
+
+def test_cli_analyze_overlap_without_utterances_exits_1(tmp_path, capsys):
+    dump_json([{"session_id": "S1", "speaker": None}], tmp_path / "ann.json")
+    capsys.readouterr()
+    code = cli_main(["analyze-overlap", "--annotations", str(tmp_path / "ann.json"),
+                     "--format", "chime5"])
+    assert code == 1
+    assert capsys.readouterr().err == "no utterances found\n"
 
 
 def _analyze_overlap(tmp_path, doc, *flags):

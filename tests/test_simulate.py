@@ -208,6 +208,27 @@ SPAN = "must be [start, end] with finite start < end, got"
      "scene mixing 'taps' must be an integer, got str"),
     (None, "mixing", {"kind": "delay", "max_delay": 2.7},
      "scene mixing 'max_delay' must be an integer, got float"),
+    (0, "activity", [[3.5, 4.5]], "activity [3.5, 4.5]s of source A is outside the scene"),
+    (None, "mixing", {"kind": "reverb", "taps": 4},
+     "scene mixing 'max_delay' must be below 'taps' 4, got 4"),
+    (None, "mixing", {"kind": "reverb", "taps": 16, "max_delay": 20},
+     "scene mixing 'max_delay' must be below 'taps' 16, got 20"),
+    (None, "mixing", {"kind": "reverb", "decay": 0}, "scene mixing 'decay' must be above 0, got 0"),
+    (None, "mixing", {"kind": "reverb", "decay": -5},
+     "scene mixing 'decay' must be above 0, got -5"),
+    (None, "mixing", {"kind": "delay", "taps": 5},
+     "scene mixing 'taps' is not a key of kind 'delay': ['max_delay']"),
+    (None, "mixing", {"kind": "reverb", "tap": 5},
+     "scene mixing 'tap' is not a key of kind 'reverb': "
+     "['taps', 'max_delay', 'decay', 'tail_gain']"),
+    (None, "mixing", {"max_delay": 3, "decay": 2.0},
+     "scene mixing 'decay' is not a key of kind 'delay': ['max_delay']"),
+    (None, "mixing", {"kind": "anechoic"},
+     "scene mixing 'kind' must be one of ['delay', 'reverb'], got 'anechoic'"),
+    (None, "mixing", {"kind": ["reverb"]},
+     "scene mixing 'kind' must be one of ['delay', 'reverb'], got ['reverb']"),
+    (1, "kind", "speech", "scene source 1 'kind' must be 'noise' or 'chirp', got 'speech'"),
+    (0, "kind", ["noise"], "scene source 0 'kind' must be 'noise' or 'chirp', got ['noise']"),
 ])
 def test_cli_simulate_names_a_malformed_spec_value(tmp_path, capsys, source, key, value,
                                                     message):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import ActivityMask
-from .signal import StftConfig, _check_object, _check_spans
+from .signal import StftConfig, _check_number, _check_object, _check_spans
 
 logger = logging.getLogger(__name__)
 
@@ -108,8 +108,8 @@ class Utterance:
 
     def __post_init__(self):
         check_path_id("speaker id", self.speaker_id)
-        if self.start_samples < 0:
-            raise ValueError(f"utterance start {self.start_samples} is negative")
+        _check_number(self.start_samples, "utterance start_samples", integer=True, minimum=0)
+        _check_number(self.end_samples, "utterance end_samples", integer=True)
         if self.end_samples <= self.start_samples:
             raise ValueError(
                 f"utterance of {self.speaker_id} in {self.session_id} ends at "
@@ -307,8 +307,7 @@ def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivit
 def extend_context(utterance: Utterance, context_seconds: float, session_samples: int) -> range:
     """The utterance's segment: absolute samples [start, stop) of a
     symmetric context window around it, clipped to the recording bounds."""
-    if context_seconds < 0:
-        raise ValueError(f"context must be non-negative, got {context_seconds}s")
+    _check_number(context_seconds, "context_seconds", minimum=0)
     if utterance.end_samples > session_samples:
         raise ValueError(
             f"utterance ends at sample {utterance.end_samples}, beyond the "

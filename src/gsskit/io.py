@@ -113,7 +113,10 @@ def read_wav(path) -> Waveform:
     samples = raw.view(dtype).astype(np.float64)
     samples -= zero
     samples /= scale
-    return Waveform(samples.reshape(frames, channels).T, rate)
+    try:
+        return Waveform(samples.reshape(frames, channels).T, rate)
+    except ValueError as err:  # a non-finite float sample, or a rate of 0
+        raise ValueError(f"{path}: {err}") from None
 
 
 @contextmanager

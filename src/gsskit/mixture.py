@@ -104,7 +104,7 @@ class EmConfig:
             the only fit of an utterance.
     """
 
-    iterations: int = field(default=20, metadata={"min": 1})
+    iterations: int = field(default=20, metadata={"minimum": 1})
 
     def __post_init__(self):
         _check_fields(self, "em")
@@ -130,13 +130,6 @@ def normalize_observations(spectrogram: Spectrogram) -> DirectionalObservations:
     return DirectionalObservations(units=units, valid=valid)
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_pairs(dim: int):
-    """Row and column indices of the D(D-1)/2 pairs d < e, in
-    ``np.triu_indices`` order; shared, so callers must not write to them."""
-    return np.triu_indices(dim, 1)
-
-
 def _pack_outer_products(units: np.ndarray) -> np.ndarray:
     """Real packing of the outer products z z^H of every bin and frame.
 
@@ -150,7 +143,7 @@ def _pack_outer_products(units: np.ndarray) -> np.ndarray:
         same pairs.
     """
     bins, frames, dim = units.shape
-    rows, cols = _upper_pairs(dim)
+    rows, cols = np.triu_indices(dim, 1)
     pairs = len(rows)
     chans = units.transpose(0, 2, 1)
     feats = np.empty((bins, dim * dim, frames))
@@ -177,7 +170,7 @@ def _packing_maps(dim: int):
     product of B with z z^H = ``packed @ unpack``, so ``coeffs`` is the
     adjoint ``unpack.T``, copied to be contiguous for the GEMM.
     """
-    rows, cols = _upper_pairs(dim)
+    rows, cols = np.triu_indices(dim, 1)
     pairs = len(rows)
     diag = np.arange(dim)
     upper = dim + np.arange(pairs)

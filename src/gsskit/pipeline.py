@@ -73,9 +73,9 @@ class PipelineConfig:
     wpe_enabled: bool = True
     em: EmConfig = field(default_factory=EmConfig)
     masking: bool = False
-    context_seconds: float = field(default=15.0, metadata={"min": 0})
+    context_seconds: float = field(default=15.0, metadata={"minimum": 0})
     output_dir: str = "enhanced"
-    workers: int = field(default=1, metadata={"min": 1})
+    workers: int = field(default=1, metadata={"minimum": 1})
 
     def __post_init__(self):
         _check_fields(self, "config")
@@ -221,9 +221,7 @@ def _check_entry(index: int, entry) -> None:
     if not isinstance(entry.get("silences", {}), (dict, str, type(None))):
         raise ValueError(f"{where} 'silences' must be an object or the path of a JSON file")
     if "length_seconds" in entry:  # absent: the audio's duration
-        length = _check_number(entry["length_seconds"], f"{where} 'length_seconds'")
-        if length <= 0:
-            raise ValueError(f"{where} 'length_seconds' must be above 0, got {length}")
+        _check_number(entry["length_seconds"], f"{where} 'length_seconds'", above=0)
 
 
 def _load_session(entry: dict, config: PipelineConfig):

@@ -22,9 +22,9 @@ __all__ = [
 ]
 
 
-def _check_number(value, where: str, integer: bool = False, minimum=None):
+def _check_number(value, where: str, integer: bool = False, minimum=None, above=None):
     """``value`` if it is a number, an integer with no fraction if ``integer``,
-    never a bool, finite and at least ``minimum``; else ValueError."""
+    never a bool, finite, at least ``minimum``, above ``above``; else ValueError."""
     kind, name = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
@@ -32,6 +32,8 @@ def _check_number(value, where: str, integer: bool = False, minimum=None):
         raise ValueError(f"{where} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{where} must be at least {minimum}, got {value}")
+    if above is not None and value <= above:
+        raise ValueError(f"{where} must be above {above}, got {value}")
     return value
 
 
@@ -74,12 +76,12 @@ _FIELD_TYPES = {
 def _check_fields(config, section: str) -> None:
     """Reject a field of the config dataclass ``config`` whose value is not
     of its annotated type, as ``<section>.<field> must be ...``; an int or
-    float field is a :func:`_check_number` of at least its metadata ``min``."""
+    float field is a :func:`_check_number` with its metadata as keywords."""
     for item in fields(config):
         value, kind = getattr(config, item.name), item.type
         where = f"{section}.{item.name}"
         if kind in (int, float):
-            _check_number(value, where, kind is int, item.metadata.get("min"))
+            _check_number(value, where, kind is int, **item.metadata)
             continue
         accepted, name = _FIELD_TYPES.get(kind, (kind, f"of type {kind.__name__}"))
         if not (isinstance(value, accepted)
@@ -101,8 +103,8 @@ class StftConfig:
             (:meth:`synthesis_weights`).
     """
 
-    fft_size: int = field(default=1024, metadata={"min": 2})
-    shift: int = field(default=256, metadata={"min": 1})
+    fft_size: int = field(default=1024, metadata={"minimum": 2})
+    shift: int = field(default=256, metadata={"minimum": 1})
 
     def __post_init__(self):
         _check_fields(self, "stft")
@@ -197,8 +199,7 @@ class Waveform:
             raise ValueError(f"waveform samples must be 2-dim (M, L), got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        _check_number(self.sample_rate, "sample_rate", integer=True, minimum=1)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -239,10 +240,6 @@ class Spectrogram:
     @property
     def num_frames(self) -> int:
         return self.bins.shape[1]
-
-    @property
-    def num_bins(self) -> int:
-        return self.bins.shape[2]
 
 
 def _analysis_window(config: StftConfig) -> np.ndarray:
@@ -302,16 +299,12 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
         ValueError: if the window/shift pair loses sample positions
             ("reconstruction unsupported", see
             :meth:`StftConfig.synthesis_weights`), or if ``target_length``
-            or ``offset`` is negative.
+            or ``offset`` is not an integer of at least 0.
     """
     config = spectrogram.config
     den = config.synthesis_weights()
-    if target_length < 0:
-        raise ValueError(f"target_length must be non-negative, got {target_length}")
-    if offset is None:
-        offset = config.pad
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
+    _check_number(target_length, "target_length", integer=True, minimum=0)
+    offset = config.pad if offset is None else _check_number(offset, "offset", True, 0)
 
     window = _analysis_window(config)
     channels, frames, _ = spectrogram.bins.shape

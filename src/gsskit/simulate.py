@@ -112,11 +112,11 @@ def _reverb_filters(channels: int, rng, taps, max_delay, decay, tail_gain) -> np
     return filters
 
 
-# Each mixing kind's keys besides "kind": (default, integer, least value).
+# Each mixing kind's keys besides "kind": (default, integer, _check_number bounds).
 _MIXING_KEYS = {
-    "delay": {"max_delay": (8, True, 0)},
-    "reverb": {"taps": (64, True, 1), "max_delay": (4, True, 0),
-               "decay": (8.0, False, None), "tail_gain": (0.3, False, None)},
+    "delay": {"max_delay": (8, True, {"minimum": 0})},
+    "reverb": {"taps": (64, True, {"minimum": 1}), "max_delay": (4, True, {"minimum": 0}),
+               "decay": (8.0, False, {"above": 0}), "tail_gain": (0.3, False, {})},
 }
 
 
@@ -130,10 +130,8 @@ def _mixing_params(mixing: dict) -> tuple:
     for key in mixing:
         if key != "kind" and key not in keys:
             raise ValueError(f"scene mixing {key!r} is not a key of kind {kind!r}: {list(keys)}")
-    params = {key: _check_number(mixing.get(key, default), f"scene mixing {key!r}", integer, least)
-              for key, (default, integer, least) in keys.items()}
-    if kind == "reverb" and params["decay"] <= 0:
-        raise ValueError(f"scene mixing 'decay' must be above 0, got {params['decay']}")
+    params = {key: _check_number(mixing.get(key, default), f"scene mixing {key!r}", integer, **bounds)
+              for key, (default, integer, bounds) in keys.items()}
     # The direct spike sits at a delay of at most max_delay inside the filter.
     if kind == "reverb" and params["max_delay"] >= params["taps"]:
         raise ValueError(f"scene mixing 'max_delay' must be below 'taps' {params['taps']}, "

@@ -34,9 +34,9 @@ class WpeConfig:
         iterations: alternations of power estimation and filter refit.
     """
 
-    taps: int = field(default=10, metadata={"min": 1})
-    delay: int = field(default=2, metadata={"min": 1})
-    iterations: int = field(default=3, metadata={"min": 1})
+    taps: int = field(default=10, metadata={"minimum": 1})
+    delay: int = field(default=2, metadata={"minimum": 1})
+    iterations: int = field(default=3, metadata={"minimum": 1})
 
     def __post_init__(self):
         _check_fields(self, "wpe")

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gsskit import SAMPLE_RATE, Utterance, Waveform
+from gsskit import SAMPLE_RATE, PipelineConfig, Utterance, Waveform, run_batch
 from gsskit.io import dump_json, load_json, read_wav, utterance_filename, write_wav
 
 
@@ -216,6 +216,12 @@ def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
     assert not caplog.records
 
 
+# Well-formed files whose samples or rate the Waveform they load into rejects.
+NONFINITE_WAV = _riff(_fmt(3, 1, 32), _chunk(b"data", np.array([0, np.inf], "<f4").tobytes()))
+ZERO_RATE_WAV = _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)),
+                      _chunk(b"data", b""))
+
+
 @pytest.mark.parametrize("content, message", [
     (_riff(_fmt(6, 1, 8), _chunk(b"data", b"\x55" * 8)), r"A-law at 8 bits"),
     (_riff(_fmt(7, 1, 8), _chunk(b"data", b"\x55" * 8)), r"mu-law at 8 bits"),
@@ -229,12 +235,25 @@ def test_read_wav_truncated_data_gives_whole_frames_and_warns(tmp_path, caplog):
     (_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, SAMPLE_RATE, 4 * SAMPLE_RATE, 3, 16)),
            _chunk(b"data", b"")),
      r": block align 3 does not fit 2 channels of 16-bit samples$"),
+    (NONFINITE_WAV, r": waveform samples must be finite$"),
+    (ZERO_RATE_WAV, r": sample_rate must be at least 1, got 0$"),
 ])
 def test_read_wav_rejects_other_encodings_naming_the_file(tmp_path, content, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(content)
     with pytest.raises(ValueError, match=rf"bad\.wav.*{message}"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("content", [NONFINITE_WAV, ZERO_RATE_WAV], ids=["nonfinite", "rate0"])
+def test_run_batch_row_names_the_wav_it_rejects(tmp_path, content):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(content)
+    entry = {"session_id": "S", "audio": {"U01": str(path)},
+             "annotations": str(tmp_path / "annotations.json")}
+    report = run_batch({"sessions": [entry]}, PipelineConfig(output_dir=str(tmp_path / "out")))
+    (row,) = report["utterances"]
+    assert row["status"] == "failed" and row["error"].startswith(f"{path}: ")
 
 
 def test_read_wav_alaw_is_rejected_by_scipy_too(tmp_path):

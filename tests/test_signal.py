@@ -235,7 +235,7 @@ def test_istft_rejects_negative_offset(offset):
     # Numpy would read a negative offset from the far end of the grid.
     config = StftConfig(fft_size=64, shift=16)
     spec = stft(Waveform(np.ones((1, 5000)), 16000), config)
-    with pytest.raises(ValueError, match=f"offset must be non-negative, got {offset}"):
+    with pytest.raises(ValueError, match=f"offset must be at least 0, got {offset}"):
         istft(spec, 10, offset=offset)
 
 

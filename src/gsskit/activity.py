@@ -107,6 +107,7 @@ class Utterance:
     words: tuple
 
     def __post_init__(self):
+        check_path_id("session id", self.session_id)
         check_path_id("speaker id", self.speaker_id)
         _check_number(self.start_samples, "utterance start_samples", integer=True, minimum=0)
         _check_number(self.end_samples, "utterance end_samples", integer=True)
@@ -256,8 +257,8 @@ def build_activity(utterances, session_seconds: float | None = None) -> SessionA
 
     Args:
         utterances: utterances of a single session.
-        session_seconds: recording length; defaults to the last annotation
-            end.
+        session_seconds: recording length, a finite number above 0;
+            defaults to the last annotation end.
     """
     if not utterances:
         raise ValueError("cannot build activity from an empty utterance list")
@@ -267,6 +268,7 @@ def build_activity(utterances, session_seconds: float | None = None) -> SessionA
     if session_seconds is None:
         session_samples = max(u.end_samples for u in utterances)
     else:
+        _check_number(session_seconds, "session_seconds", above=0)
         session_samples = int(round(session_seconds * SAMPLE_RATE))
     spans = {}
     for u in utterances:

@@ -53,8 +53,8 @@ class PipelineConfig:
 
     Attributes:
         arrays: array ids to stack into one super-array, in stacking
-            order; empty means all arrays of the manifest entry in sorted
-            order. One id is the single-array track.
+            order, each once; empty means all arrays of the manifest entry
+            in sorted order. One id is the single-array track.
         stft: analysis/synthesis parameters, a pair istft can invert.
         wpe: dereverberation parameters.
         wpe_enabled: skip dereverberation entirely when False.
@@ -79,6 +79,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_fields(self, "config")
+        for index, array in enumerate(self.arrays):
+            if array in self.arrays[:index]:  # its channels would be stacked twice
+                raise ValueError(f"config.arrays names array {array!r} more than once")
         self.stft.synthesis_weights()  # rejects an STFT that istft cannot invert
         object.__setattr__(self, "arrays", tuple(self.arrays))
 
@@ -88,22 +91,13 @@ class PipelineConfig:
         nested objects, one for each field whose type is a config class.
         Unknown keys are rejected at every level, and each config class
         rejects a value of the wrong type or below its bound."""
-        kwargs = _section_kwargs(cls, raw, "config")
+        kwargs = dict(_check_object(raw, "config", known=cls.__dataclass_fields__))
         for item in fields(cls):
-            sub = item.type
-            if is_dataclass(sub) and isinstance(kwargs.get(item.name), dict):
-                kwargs[item.name] = sub(**_section_kwargs(sub, kwargs[item.name], item.name))
+            sub, value = item.type, kwargs.get(item.name)
+            if is_dataclass(sub) and isinstance(value, dict):
+                kwargs[item.name] = sub(**_check_object(value, item.name,
+                                                        known=sub.__dataclass_fields__))
         return cls(**kwargs)
-
-
-def _section_kwargs(cls, raw, section: str) -> dict:
-    """Keyword arguments of dataclass ``cls`` from the JSON object ``raw``;
-    a non-object or an unknown key is rejected with a message that names
-    ``section``."""
-    unknown = set(_check_object(raw, section)) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    return dict(raw)
 
 
 @dataclass
@@ -205,13 +199,13 @@ def enhance_utterance(
 
 
 def _check_entry(index: int, entry) -> None:
-    """Reject a manifest entry that lacks a key the loader needs or holds a
-    value of the wrong type; ``open`` would take an integer path as a file
-    descriptor, and close it."""
+    """Reject a manifest entry that lacks a key the loader needs, holds a
+    key it does not read or a value of the wrong type; ``open`` would take
+    an integer path as a file descriptor, and close it."""
     where = f"manifest entry {index}"
-    _check_object(entry, where, ("session_id", "audio", "annotations"))
-    if not isinstance(entry["session_id"], str):
-        raise ValueError(f"{where} 'session_id' must be a string")
+    _check_object(entry, where, ("session_id", "audio", "annotations"),
+                  known=("annotation_format", "silences", "length_seconds"))
+    check_path_id(f"{where} 'session_id'", entry["session_id"])
     audio_map = entry["audio"]
     if (not isinstance(audio_map, dict) or not audio_map
             or not all(isinstance(path, str) for path in audio_map.values())):
@@ -227,7 +221,6 @@ def _check_entry(index: int, entry) -> None:
 def _load_session(entry: dict, config: PipelineConfig):
     """Audio, utterances and activity for one manifest entry."""
     session_id = entry["session_id"]
-    check_path_id("session id", session_id)
     audio_map = entry["audio"]
     ids = list(config.arrays) if config.arrays else sorted(audio_map)
     missing = [i for i in ids if i not in audio_map]
@@ -330,7 +323,7 @@ def run_batch(manifest: dict, config: PipelineConfig) -> dict:
     end) is not enhanced again; it is a failed row whose error names that
     file.
     """
-    sessions = _check_object(manifest, "manifest", ("sessions",))["sessions"]
+    sessions = _check_object(manifest, "manifest", ("sessions",), known=())["sessions"]
     if not isinstance(sessions, list):
         raise ValueError(f"manifest 'sessions' must be a list, got {type(sessions).__name__}")
     report = {"output_dir": config.output_dir, "utterances": [], "failures": 0}

@@ -37,13 +37,17 @@ def _check_number(value, where: str, integer: bool = False, minimum=None, above=
     return value
 
 
-def _check_object(value, where: str, keys=()):
-    """``value`` if it is a JSON object holding each of ``keys``, else ValueError."""
+def _check_object(value, where: str, keys=(), known=None):
+    """``value`` if it is a JSON object holding each of ``keys`` and, when
+    ``known`` is given, no key outside ``keys`` and ``known``; else ValueError."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {type(value).__name__}")
     for key in keys:
         if key not in value:
             raise ValueError(f"{where} has no {key!r}")
+    unknown = [] if known is None else [key for key in value if key not in (*keys, *known)]
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
     return value
 
 
@@ -231,6 +235,7 @@ class Spectrogram:
             raise ValueError(
                 f"spectrogram has {bins.shape[2]} bins, config expects {self.config.num_bins}"
             )
+        _check_number(self.sample_rate, "sample_rate", integer=True, minimum=1)
         object.__setattr__(self, "bins", bins)
 
     @property

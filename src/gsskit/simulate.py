@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import SAMPLE_RATE, format_time
+from .activity import SAMPLE_RATE, check_path_id, format_time
 from .signal import Waveform, _check_number, _check_object, _check_span, _check_spans
 
 __all__ = ["SyntheticScene", "simulate_scene"]
@@ -123,13 +123,11 @@ _MIXING_KEYS = {
 def _mixing_params(mixing: dict) -> tuple:
     """(kind, {key: value}) of a scene's mixing block, each key of the kind
     at its :data:`_MIXING_KEYS` default unless the block sets it."""
-    kind = mixing.get("kind", "delay")
+    kind = _check_object(mixing, "scene spec 'mixing'").get("kind", "delay")
     if not isinstance(kind, str) or kind not in _MIXING_KEYS:
         raise ValueError(f"scene mixing 'kind' must be one of {list(_MIXING_KEYS)}, got {kind!r}")
     keys = _MIXING_KEYS[kind]
-    for key in mixing:
-        if key != "kind" and key not in keys:
-            raise ValueError(f"scene mixing {key!r} is not a key of kind {kind!r}: {list(keys)}")
+    _check_object(mixing, f"scene {kind!r} mixing", known=("kind", *keys))
     params = {key: _check_number(mixing.get(key, default), f"scene mixing {key!r}", integer, **bounds)
               for key, (default, integer, bounds) in keys.items()}
     # The direct spike sits at a delay of at most max_delay inside the filter.
@@ -139,6 +137,11 @@ def _mixing_params(mixing: dict) -> tuple:
     return kind, params
 
 
+# The optional keys of a scene source, each with its check.
+_SOURCE_KEYS = {"band": _check_span, "sweep": _check_span, "gain": _check_number,
+                "words_per_second": _check_number}
+
+
 def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     """Render a scene description into microphone signals.
 
@@ -146,10 +149,11 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     sources (speaker label, kind "noise" or "chirp", activity intervals in
     seconds, optional band/sweep/gain), a mixing block of kind "delay" or
     "reverb" (:data:`_MIXING_KEYS`), and an optional snr_db for white
-    sensor noise. A missing required key, or a value of the wrong type,
+    sensor noise. A missing or unknown key, or a value of the wrong type,
     shape or range, raises ValueError naming the key and the source index.
     """
-    _check_object(spec, "scene spec", ("duration", "channels", "sources"))
+    _check_object(spec, "scene spec", ("duration", "channels", "sources"),
+                  known=("session_id", "mixing", "snr_db"))
     rng = np.random.default_rng(seed)
     duration = _check_number(spec["duration"], "scene spec 'duration'")
     channels = _check_number(spec["channels"], "scene spec 'channels'", integer=True, minimum=2)
@@ -157,8 +161,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     if length <= 0:
         raise ValueError(f"scene duration {duration}s is empty")
     session_id = spec.get("session_id", f"SYN{seed}")
-    kind, params = _mixing_params(
-        _check_object(spec.get("mixing", {"kind": "delay"}), "scene spec 'mixing'"))
+    check_path_id("scene spec 'session_id'", session_id)
+    kind, params = _mixing_params(spec.get("mixing", {"kind": "delay"}))
     if spec.get("snr_db") is not None:
         _check_number(spec["snr_db"], "scene spec 'snr_db'")
 
@@ -168,15 +172,15 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
                          f"got {sources!r}")
     for index, source in enumerate(sources):
         where = f"scene source {index}"
-        _check_spans(_check_object(source, where, ("speaker", "kind", "activity"))["activity"],
-                     f"{where} 'activity'")
+        _check_object(source, where, ("speaker", "kind", "activity"), known=_SOURCE_KEYS)
+        check_path_id(f"{where} 'speaker'", source["speaker"])
+        _check_spans(source["activity"], f"{where} 'activity'")
         if source["kind"] not in ("noise", "chirp"):
             raise ValueError(f"{where} 'kind' must be 'noise' or 'chirp', got {source['kind']!r}")
-        for key, check in (("band", _check_span), ("sweep", _check_span),
-                           ("gain", _check_number), ("words_per_second", _check_number)):
+        for key, check in _SOURCE_KEYS.items():
             if key in source:
                 check(source[key], f"{where} {key!r}")
-    speakers = tuple(str(s["speaker"]) for s in sources)
+    speakers = tuple(s["speaker"] for s in sources)
     if len(set(speakers)) != len(speakers):
         raise ValueError("source speaker labels must be unique")
 

@@ -246,10 +246,13 @@ def test_parse_chime5_names_the_missing_clock():
         parse_chime5_annotations([row], array_id="U02")
 
 
-@pytest.mark.parametrize("speaker", ["", ".", "..", "a/b", "a\\b", "../../evil", 7, None])
-def test_utterance_rejects_ids_that_are_not_one_path_component(speaker):
-    with pytest.raises(ValueError, match="not usable as a file name"):
-        Utterance("S1", speaker, 0, 16000, ())
+@pytest.mark.parametrize("value", ["", ".", "..", "a/b", "a\\b", "../../evil", 7, None])
+@pytest.mark.parametrize("kind", ["session id", "speaker id"])
+def test_utterance_rejects_ids_that_are_not_one_path_component(kind, value):
+    ids = {"session id": "S1", "speaker id": "A", kind: value}
+    message = f"{kind} {value!r} is not usable as a file name"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Utterance(ids["session id"], ids["speaker id"], 0, 16000, ())
 
 
 def test_build_activity_merges_and_sizes():

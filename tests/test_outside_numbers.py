@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsskit import PipelineConfig, Spectrogram, StftConfig, Utterance, Waveform, istft
-from gsskit.activity import extend_context
+from gsskit.activity import build_activity, extend_context
 from gsskit.pipeline import _check_entry
 from gsskit.simulate import _mixing_params
 
@@ -30,11 +30,27 @@ SPEC = Spectrogram(np.zeros((1, 10, 33), complex), StftConfig(fft_size=64, shift
 UTTERANCE = Utterance("S", "A", 0, 16, ())
 ENTRY = {"session_id": "S", "audio": {"U01": "U01.wav"}, "annotations": "a.json"}
 
+
+def activity_of_length(seconds):
+    """``build_activity`` of UTTERANCE in a session of ``seconds``. A length
+    that obeys the number rule but ends before the utterance's 16 samples
+    is the activity span rule's to reject, so that rejection is let pass."""
+    try:
+        build_activity([UTTERANCE], seconds)
+    except ValueError as err:
+        if "outside the session" not in str(err):
+            raise
+
+
 # (id, pattern the message must hold, call, integer, rule): the rule is
 # _check_number's bounds, and "optional" where None takes a default.
 NUMBER_SITES = [
     ("Waveform.sample_rate", "sample_rate",
      lambda v: Waveform(np.zeros((1, 4)), v), True, {"minimum": 1}),
+    ("Spectrogram.sample_rate", "sample_rate",
+     lambda v: Spectrogram(SPEC.bins, SPEC.config, v), True, {"minimum": 1}),
+    ("build_activity.session_seconds", "session_seconds",
+     activity_of_length, False, {"above": 0, "optional": True}),
     ("Utterance.start_samples", "start_samples",
      lambda v: Utterance("S", "A", v, 41, ()), True, {"minimum": 0}),
     ("Utterance.end_samples", "end_samples|ends at",

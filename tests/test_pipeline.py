@@ -74,6 +74,17 @@ def test_config_from_dict_nested():
     assert PipelineConfig.from_dict({}).masking is False
 
 
+def test_config_rejects_an_array_named_twice():
+    # Its file would be read twice and its channels stacked twice, and each
+    # row would still come back ok.
+    message = "config.arrays names array 'U01' more than once"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(arrays=("U01", "U02", "U01"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_dict({"arrays": ["U01", "U01"]})
+    assert PipelineConfig(arrays=["U02", "U01"]).arrays == ("U02", "U01")
+
+
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown config keys"):
         PipelineConfig.from_dict({"arrayz": ["U01"]})
@@ -941,6 +952,18 @@ def test_cli_analyze_overlap_without_utterances_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "no utterances found\n"
 
 
+def test_cli_analyze_overlap_rejects_a_session_id_that_is_not_a_string(tmp_path, capsys):
+    # Sessions 5 and "S1" could not be sorted: a TypeError traceback, status 1.
+    doc = [_native("S1", "A", "0:00:00.00", "0:00:01.00", "a b"),
+           _native(5, "B", "0:00:00.50", "0:00:01.50", "c")]
+    dump_json(doc, tmp_path / "ann.json")
+    capsys.readouterr()
+    code = cli_main(["analyze-overlap", "--annotations", str(tmp_path / "ann.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gsskit: error: annotation entry 1: session id 5 is not usable as a file name\n")
+
+
 def _analyze_overlap(tmp_path, doc, *flags):
     ann_path = tmp_path / "ann.json"
     dump_json(doc, ann_path)
@@ -1113,16 +1136,19 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         dict(good, length_seconds=float("inf")),
         dict(good, length_seconds=float("nan")),
         dict(good, length_seconds=0),
+        # A misspelt optional key would otherwise be ignored: no silences.
+        dict(good, silence={"A": [[0.5, 0.6]]}),
+        dict(good, session_id=""),
         good,
     ]
     report = run_batch({"sessions": sessions}, fast_config(output_dir=str(tmp_path / "out")))
-    assert report["failures"] == 15
+    assert report["failures"] == 17
     *failed, ok_a, ok_b = report["utterances"]
     audio = "'audio' must be a non-empty object of array id -> WAV path"
     expected = [
         (None, "manifest entry 0 must be an object, got str"),
         (None, "manifest entry 1 has no 'session_id'"),
-        (7, "manifest entry 2 'session_id' must be a string"),
+        (7, "manifest entry 2 'session_id' 7 is not usable as a file name"),
         (scene.session_id, "manifest entry 3 has no 'audio'"),
         (scene.session_id, f"manifest entry 4 {audio}"),
         (scene.session_id, f"manifest entry 5 {audio}"),
@@ -1136,6 +1162,8 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
         (scene.session_id, "manifest entry 12 'length_seconds' must be finite, got inf"),
         (scene.session_id, "manifest entry 13 'length_seconds' must be finite, got nan"),
         (scene.session_id, "manifest entry 14 'length_seconds' must be above 0, got 0"),
+        (scene.session_id, "unknown manifest entry 15 keys: ['silence']"),
+        ("", "manifest entry 16 'session_id' '' is not usable as a file name"),
     ]
     assert len(failed) == len(expected)
     for row, (session_id, message) in zip(failed, expected):
@@ -1148,6 +1176,7 @@ def test_run_batch_rejects_malformed_manifest_entries(tmp_path):
 @pytest.mark.parametrize("manifest, message", [
     ([{"session_id": "S01"}], "manifest must be an object, got list"),
     ({"session": []}, "manifest has no 'sessions'"),
+    ({"sessions": [], "session": [1]}, r"unknown manifest keys: \['session'\]"),
     ({"sessions": {"S01": {}}}, "manifest 'sessions' must be a list, got dict"),
 ])
 def test_run_batch_rejects_a_manifest_without_a_sessions_list(

@@ -217,17 +217,26 @@ SPAN = "must be [start, end] with finite start < end, got"
     (None, "mixing", {"kind": "reverb", "decay": -5},
      "scene mixing 'decay' must be above 0, got -5"),
     (None, "mixing", {"kind": "delay", "taps": 5},
-     "scene mixing 'taps' is not a key of kind 'delay': ['max_delay']"),
+     "unknown scene 'delay' mixing keys: ['taps']"),
     (None, "mixing", {"kind": "reverb", "tap": 5},
-     "scene mixing 'tap' is not a key of kind 'reverb': "
-     "['taps', 'max_delay', 'decay', 'tail_gain']"),
+     "unknown scene 'reverb' mixing keys: ['tap']"),
     (None, "mixing", {"max_delay": 3, "decay": 2.0},
-     "scene mixing 'decay' is not a key of kind 'delay': ['max_delay']"),
+     "unknown scene 'delay' mixing keys: ['decay']"),
     (None, "mixing", {"kind": "anechoic"},
      "scene mixing 'kind' must be one of ['delay', 'reverb'], got 'anechoic'"),
     (None, "mixing", {"kind": ["reverb"]},
      "scene mixing 'kind' must be one of ['delay', 'reverb'], got ['reverb']"),
     (1, "kind", "speech", "scene source 1 'kind' must be 'noise' or 'chirp', got 'speech'"),
+    # A misspelt key would otherwise be ignored: no noise, or no band.
+    (None, "snr", 5, "unknown scene spec keys: ['snr']"),
+    (0, "bands", [300, 2500], "unknown scene source 0 keys: ['bands']"),
+    # Labels and the session id name files, and the annotations must
+    # read back.
+    (1, "speaker", "", "scene source 1 'speaker' '' is not usable as a file name"),
+    (0, "speaker", None, "scene source 0 'speaker' None is not usable as a file name"),
+    (0, "speaker", 1, "scene source 0 'speaker' 1 is not usable as a file name"),
+    (None, "session_id", "a/b", "scene spec 'session_id' 'a/b' is not usable as a file name"),
+    (None, "session_id", 5, "scene spec 'session_id' 5 is not usable as a file name"),
     (0, "kind", ["noise"], "scene source 0 'kind' must be 'noise' or 'chirp', got ['noise']"),
 ])
 def test_cli_simulate_names_a_malformed_spec_value(tmp_path, capsys, source, key, value,

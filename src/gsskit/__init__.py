@@ -9,7 +9,6 @@ end-to-end evaluation.
 """
 
 from .activity import (
-    SAMPLE_RATE,
     SessionActivity,
     Utterance,
     activity_to_frames,
@@ -44,7 +43,7 @@ from .pipeline import (
     enhance_utterance,
     run_batch,
 )
-from .signal import Spectrogram, StftConfig, Waveform, istft, stft
+from .signal import SAMPLE_RATE, Spectrogram, StftConfig, Waveform, istft, stft
 from .simulate import SyntheticScene, simulate_scene
 from .wpe import WpeConfig, wpe_dereverberate
 

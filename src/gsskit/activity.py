@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import ActivityMask
-from .signal import StftConfig, _check_number, _check_object, _check_spans
+from .signal import SAMPLE_RATE, StftConfig, _check_number, _check_object, _check_spans
 
 logger = logging.getLogger(__name__)
 
-SAMPLE_RATE = 16000
-
 __all__ = [
-    "SAMPLE_RATE",
     "Utterance",
     "SessionActivity",
     "OVERLAP_BIN_EDGES",
@@ -280,6 +277,13 @@ def build_activity(utterances, session_seconds: float | None = None) -> SessionA
     )
 
 
+def _check_silences(silences) -> dict:
+    """``silences`` if it is an object of speaker id -> :func:`_check_spans`."""
+    for speaker, spans in _check_object(silences, "silences").items():
+        _check_spans(spans, f"silences of speaker {speaker}")
+    return silences
+
+
 def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivity:
     """Remove recognised silence stretches from a speaker's activity.
 
@@ -290,8 +294,7 @@ def refine_with_asr(activity: SessionActivity, silences: dict) -> SessionActivit
             naming the speaker and the index of the span.
     """
     refined = dict(activity.intervals)
-    for speaker, spans in _check_object(silences, "silences").items():
-        _check_spans(spans, f"silences of speaker {speaker}")
+    for speaker, spans in _check_silences(silences).items():
         if speaker not in refined:
             logger.warning("silence info for unknown speaker %s ignored", speaker)
             continue

@@ -199,7 +199,7 @@ def apply_beamformer(spectrogram: Spectrogram, weights: np.ndarray) -> Spectrogr
             f"spectrogram has {spectrogram.num_channels}"
         )
     out = np.einsum("fd,dtf->tf", weights.conj(), spectrogram.bins)
-    return Spectrogram(out[None], spectrogram.config, spectrogram.sample_rate)
+    return Spectrogram(out[None], spectrogram.config)
 
 
 def apply_target_mask(spectrogram: Spectrogram, gamma: np.ndarray, target_class: int) -> Spectrogram:
@@ -209,4 +209,4 @@ def apply_target_mask(spectrogram: Spectrogram, gamma: np.ndarray, target_class:
         raise ValueError("target masking expects a single-channel spectrogram")
     _check_posterior(spectrogram, gamma, target_class)
     masked = spectrogram.bins * gamma[target_class][None]
-    return Spectrogram(masked, spectrogram.config, spectrogram.sample_rate)
+    return Spectrogram(masked, spectrogram.config)

@@ -113,9 +113,6 @@ def _cmd_metrics(args) -> int:
         if wave.num_channels > 1:
             raise ValueError(f"{path} has {wave.num_channels} channels; metrics scores mono "
                              f"files, so cut the channel to score into its own file")
-    if len({wave.sample_rate for wave in waves}) > 1:
-        raise ValueError("signals differ in sample rate: " + ", ".join(
-            f"{path} at {wave.sample_rate} Hz" for path, wave in zip(paths, waves)))
     signals = [wave.samples[0] for wave in waves]
     lengths = [len(signal) for signal in signals]
     n = min(lengths)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .activity import SAMPLE_RATE, Utterance
-from .signal import Waveform
+from .activity import Utterance
+from .signal import SAMPLE_RATE, Waveform
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ def read_wav(path) -> Waveform:
     samples /= scale
     try:
         return Waveform(samples.reshape(frames, channels).T, rate)
-    except ValueError as err:  # a non-finite float sample, or a rate of 0
+    except ValueError as err:  # a non-finite float sample, or a rate other than 16 kHz
         raise ValueError(f"{path}: {err}") from None
 
 

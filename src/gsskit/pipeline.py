@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .activity import (
-    SAMPLE_RATE,
     SessionActivity,
     Utterance,
+    _check_silences,
     activity_to_frames,
     build_activity,
     check_path_id,
@@ -39,7 +39,8 @@ from .beamforming import (
 )
 from .io import dump_json, load_json, read_wav, utterance_filename, write_wav
 from .mixture import EmConfig, em_fit, normalize_observations
-from .signal import StftConfig, Waveform, _check_fields, _check_number, _check_object, istft, stft
+from .signal import (SAMPLE_RATE, StftConfig, Waveform, _check_fields, _check_number,
+                     _check_object, istft, stft)
 from .wpe import WpeConfig, wpe_dereverberate
 
 logger = logging.getLogger(__name__)
@@ -115,16 +116,6 @@ class EnhanceDetails:
     posterior_core: np.ndarray = field(repr=False)
 
 
-def _require_annotation_rate(rate: int, source: str) -> None:
-    """Annotation offsets count 16 kHz samples; other rates would be
-    enhanced silently at the wrong times."""
-    if rate != SAMPLE_RATE:
-        raise ValueError(
-            f"{source} has sample rate {rate} Hz, but annotations assume "
-            f"{SAMPLE_RATE} Hz; resample it to {SAMPLE_RATE} Hz"
-        )
-
-
 def enhance_utterance(
     utterance: Utterance,
     audio: Waveform,
@@ -147,7 +138,6 @@ def enhance_utterance(
     """
     if audio.num_channels < 2:
         raise ValueError("enhancement needs a multi-channel recording")
-    _require_annotation_rate(audio.sample_rate, "audio")
     segment = extend_context(utterance, config.context_seconds, audio.num_samples)
     start = utterance.start_samples - segment.start  # of the utterance, within the segment
     spectrogram = stft(
@@ -212,6 +202,9 @@ def _check_entry(index: int, entry) -> None:
         raise ValueError(f"{where} 'audio' must be a non-empty object of array id -> WAV path")
     if not isinstance(entry["annotations"], str):
         raise ValueError(f"{where} 'annotations' must be the path of a JSON file")
+    if entry.get("annotation_format", "native") not in ("native", "chime5"):
+        raise ValueError(f"{where} 'annotation_format' must be 'native' or 'chime5', "
+                         f"got {entry['annotation_format']!r}")
     if not isinstance(entry.get("silences", {}), (dict, str, type(None))):
         raise ValueError(f"{where} 'silences' must be an object or the path of a JSON file")
     if "length_seconds" in entry:  # absent: the audio's duration
@@ -219,16 +212,26 @@ def _check_entry(index: int, entry) -> None:
 
 
 def _load_session(entry: dict, config: PipelineConfig):
-    """Audio, utterances and activity for one manifest entry."""
+    """Audio, utterances and activity for one manifest entry; its
+    annotations and silences are read and checked before any audio."""
     session_id = entry["session_id"]
     audio_map = entry["audio"]
     ids = list(config.arrays) if config.arrays else sorted(audio_map)
     missing = [i for i in ids if i not in audio_map]
     if missing:
         raise ValueError(f"session {session_id} has no audio for arrays {missing}")
+    doc = load_json(entry["annotations"])
+    if entry.get("annotation_format") == "chime5":
+        utterances = parse_chime5_annotations(doc, array_id=ids[0])
+    else:
+        utterances = parse_annotations(doc)
+    utterances = [u for u in utterances if u.session_id == session_id]
+    if not utterances:
+        raise ValueError(f"no annotations for session {session_id}")
+    silences = entry.get("silences")
+    if silences:
+        silences = _check_silences(silences if isinstance(silences, dict) else load_json(silences))
     waveforms = [read_wav(audio_map[i]) for i in ids]
-    for i, waveform in zip(ids, waveforms):
-        _require_annotation_rate(waveform.sample_rate, f"session {session_id}: {audio_map[i]}")
     # The arrays' channels stacked into one super-array; a lone array is
     # used as it is, not copied, and longer arrays are cut to the shortest.
     audio = waveforms[0]
@@ -242,23 +245,8 @@ def _load_session(entry: dict, config: PipelineConfig):
             )
         audio = Waveform(np.concatenate([w.samples[:, :shortest] for w in waveforms]), SAMPLE_RATE)
 
-    doc = load_json(entry["annotations"])
-    fmt = entry.get("annotation_format", "native")
-    if fmt == "native":
-        utterances = parse_annotations(doc)
-    elif fmt == "chime5":
-        utterances = parse_chime5_annotations(doc, array_id=ids[0])
-    else:
-        raise ValueError(f"unknown annotation format {fmt!r}")
-    utterances = [u for u in utterances if u.session_id == session_id]
-    if not utterances:
-        raise ValueError(f"no annotations for session {session_id}")
-
     activity = build_activity(utterances, entry.get("length_seconds", audio.duration))
-    silences = entry.get("silences")
     if silences:
-        if not isinstance(silences, dict):
-            silences = load_json(silences)
         activity = refine_with_asr(activity, silences)
     return audio, utterances, activity
 

@@ -13,7 +13,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# The one sample rate, that of CHiME-5: every time in gsskit counts its samples.
+SAMPLE_RATE = 16000
+
 __all__ = [
+    "SAMPLE_RATE",
     "StftConfig",
     "Waveform",
     "Spectrogram",
@@ -192,7 +196,8 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Multi-channel time-domain signal, samples laid out as (M, L) float64."""
+    """Multi-channel time-domain signal, samples laid out as (M, L) float64,
+    at ``sample_rate`` Hz, which must be :data:`SAMPLE_RATE`."""
 
     samples: np.ndarray
     sample_rate: int
@@ -203,7 +208,8 @@ class Waveform:
             raise ValueError(f"waveform samples must be 2-dim (M, L), got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
-        _check_number(self.sample_rate, "sample_rate", integer=True, minimum=1)
+        if _check_number(self.sample_rate, "sample_rate", integer=True) != SAMPLE_RATE:
+            raise ValueError(f"sample_rate must be {SAMPLE_RATE} Hz, got {self.sample_rate} Hz")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -225,7 +231,6 @@ class Spectrogram:
 
     bins: np.ndarray
     config: StftConfig
-    sample_rate: int
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
@@ -235,7 +240,6 @@ class Spectrogram:
             raise ValueError(
                 f"spectrogram has {bins.shape[2]} bins, config expects {self.config.num_bins}"
             )
-        _check_number(self.sample_rate, "sample_rate", integer=True, minimum=1)
         object.__setattr__(self, "bins", bins)
 
     @property
@@ -280,7 +284,7 @@ def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     bins = np.empty((waveform.num_channels, frames, config.num_bins), dtype=np.complex128)
     for channel in range(waveform.num_channels):
         bins[channel] = np.fft.rfft(framed[channel] * window, n=config.fft_size, axis=-1)
-    return Spectrogram(bins, config, waveform.sample_rate)
+    return Spectrogram(bins, config)
 
 
 def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = None) -> Waveform:
@@ -333,4 +337,4 @@ def istft(spectrogram: Spectrogram, target_length: int, offset: int | None = Non
     hi = min(total, offset + target_length)
     if offset < hi:
         result[:, : hi - offset] = out[:, offset:hi]
-    return Waveform(result, spectrogram.sample_rate)
+    return Waveform(result, SAMPLE_RATE)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import SAMPLE_RATE, check_path_id, format_time
-from .signal import Waveform, _check_number, _check_object, _check_span, _check_spans
+from .activity import check_path_id, format_time
+from .signal import SAMPLE_RATE, Waveform, _check_number, _check_object, _check_span, _check_spans
 
 __all__ = ["SyntheticScene", "simulate_scene"]
 
@@ -137,9 +137,9 @@ def _mixing_params(mixing: dict) -> tuple:
     return kind, params
 
 
-# The optional keys of a scene source, each with its check.
-_SOURCE_KEYS = {"band": _check_span, "sweep": _check_span, "gain": _check_number,
-                "words_per_second": _check_number}
+# The optional keys of a scene source, each a [low, high] span in Hz.
+_SOURCE_KEYS = ("band", "sweep")
+_WORDS_PER_SECOND = 2.0  # in the "words" of each activity span's annotation row
 
 
 def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
@@ -147,7 +147,7 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
 
     The spec is a plain dict: duration (seconds), channels, a list of
     sources (speaker label, kind "noise" or "chirp", activity intervals in
-    seconds, optional band/sweep/gain), a mixing block of kind "delay" or
+    seconds, optional band/sweep), a mixing block of kind "delay" or
     "reverb" (:data:`_MIXING_KEYS`), and an optional snr_db for white
     sensor noise. A missing or unknown key, or a value of the wrong type,
     shape or range, raises ValueError naming the key and the source index.
@@ -177,9 +177,9 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
         _check_spans(source["activity"], f"{where} 'activity'")
         if source["kind"] not in ("noise", "chirp"):
             raise ValueError(f"{where} 'kind' must be 'noise' or 'chirp', got {source['kind']!r}")
-        for key, check in _SOURCE_KEYS.items():
+        for key in _SOURCE_KEYS:
             if key in source:
-                check(source[key], f"{where} {key!r}")
+                _check_span(source[key], f"{where} {key!r}")
     speakers = tuple(s["speaker"] for s in sources)
     if len(set(speakers)) != len(speakers):
         raise ValueError("source speaker labels must be unique")
@@ -187,8 +187,6 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
     dry = np.zeros((len(sources), length))
     annotations = []
     for index, source in enumerate(sources):
-        gain = source.get("gain", 1.0)
-        words_per_second = source.get("words_per_second", 2.0)
         for a_s, b_s in source["activity"]:
             a, b = _snap(a_s), _snap(b_s)
             if not 0 <= a < b <= length:
@@ -196,8 +194,8 @@ def simulate_scene(spec: dict, seed: int) -> SyntheticScene:
                     f"activity [{a_s}, {b_s}]s of source {speakers[index]} "
                     f"is outside the scene"
                 )
-            dry[index, a:b] = gain * _source_chunk(source["kind"], b - a, source, rng)
-            count = max(1, int(round(words_per_second * (b - a) / SAMPLE_RATE)))
+            dry[index, a:b] = _source_chunk(source["kind"], b - a, source, rng)
+            count = max(1, int(round(_WORDS_PER_SECOND * (b - a) / SAMPLE_RATE)))
             annotations.append(
                 {
                     "session_id": session_id,

@@ -94,7 +94,7 @@ def wpe_dereverberate(
     if frames <= first:
         logger.warning("segment of %d frames has none past delay + taps = %d, "
                        "passing it through unchanged", frames, first)
-        return Spectrogram(output, spectrogram.config, spectrogram.sample_rate), objective
+        return Spectrogram(output, spectrogram.config), objective
 
     order = channels * taps
     span = frames - first
@@ -175,4 +175,4 @@ def wpe_dereverberate(
         e *= np.sqrt(lam)[:, None, :]
         out_planes[:, first:, cols] = e.reshape(n, 2, channels, span).transpose(2, 3, 0, 1)
 
-    return Spectrogram(output, spectrogram.config, spectrogram.sample_rate), objective
+    return Spectrogram(output, spectrogram.config), objective

@@ -1,12 +1,22 @@
-"""Scoring oracles for tests that know the true sources of a simulated
-scene: the dominant source of every STFT bin, and how well a fitted
-posterior agrees with it up to speaker relabelling."""
+"""Oracles and builders that more than one test file uses: scoring for
+tests that know the true sources of a simulated scene (the dominant
+source of every STFT bin, and how well a fitted posterior agrees with it
+up to speaker relabelling), brute-force references of the beamformer and
+the interval code, and random inputs of each stage."""
 
 import itertools
 
 import numpy as np
 
-from gsskit import StftConfig, SyntheticScene, Waveform, stft
+from gsskit import (
+    ActivityMask,
+    DirectionalObservations,
+    Spectrogram,
+    StftConfig,
+    SyntheticScene,
+    Waveform,
+    stft,
+)
 
 
 def oracle_masks(scene: SyntheticScene, config: StftConfig) -> np.ndarray:
@@ -69,4 +79,86 @@ def permutation_consistency(gamma: np.ndarray, oracle: np.ndarray) -> float:
         relabel = np.arange(classes)
         relabel[1:] = perm
         best = max(best, float(np.mean(est == relabel[tru])))
+    return best
+
+
+def make_spec(bins):
+    channels, frames, freqs = bins.shape
+    config = StftConfig(fft_size=(freqs - 1) * 2, shift=max(1, (freqs - 1) // 2))
+    return Spectrogram(bins, config)
+
+
+def echo_scene(amp, channels, frames, freqs, seed, lag=3):
+    rng = np.random.default_rng(seed)
+    dry = (
+        rng.standard_normal((channels, frames, freqs))
+        + 1j * rng.standard_normal((channels, frames, freqs))
+    ) / np.sqrt(2)
+    coeff = amp * np.exp(2j * np.pi * rng.random((channels, freqs)))
+    obs = dry.copy()
+    obs[:, lag:] += coeff[:, None, :] * dry[:, :-lag]
+    return dry, obs
+
+
+def lagged_projection_energy(residual, dry, lag, first):
+    """Energy of the residual along the delayed dry signal, per (m, f)."""
+    reg = dry[:, first - lag : dry.shape[1] - lag, :]
+    num = np.abs(np.einsum("mtf,mtf->mf", np.conj(reg), residual[:, first:, :])) ** 2
+    den = np.einsum("mtf,mtf->mf", np.conj(reg), reg).real
+    return float(np.sum(num / den))
+
+
+def random_observations(rng, frames, freqs, channels):
+    data = rng.standard_normal((frames, freqs, channels)) + 1j * rng.standard_normal(
+        (frames, freqs, channels)
+    )
+    units = data / np.linalg.norm(data, axis=2, keepdims=True)
+    return DirectionalObservations(units, np.ones((frames, freqs), bool))
+
+
+def random_activity(rng, classes, frames, density=0.6):
+    active = rng.random((classes, frames)) < density
+    active[0] = True
+    for k in range(1, classes):
+        if not active[k].any():
+            active[k, rng.integers(frames)] = True
+    return ActivityMask(active)
+
+
+def rasterize(intervals, length):
+    dense = np.zeros(length, bool)
+    for a, b in intervals:
+        dense[max(0, a) : min(length, b)] = True
+    return dense
+
+
+def random_psd(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a @ a.conj().T + 0.1 * np.eye(dim)
+
+
+def mvdr_oracle(psds, reference, eps=1e-6):
+    """Souden solution via explicit per-frequency inverses."""
+    freqs, dim, _ = psds.target.shape
+    weights = np.zeros((freqs, dim), complex)
+    for f in range(freqs):
+        phi_nn = psds.distortion[f]
+        trace = np.trace(phi_nn).real
+        loaded = phi_nn + (eps * trace / dim) * np.eye(dim)
+        numer = np.linalg.inv(loaded) @ psds.target[f]
+        lam = np.trace(numer)
+        weights[f] = numer[:, reference] / lam
+    return weights
+
+
+def reference_selection_oracle(psds, eps=1e-6):
+    dim = psds.target.shape[1]
+    best, best_score = 0, None
+    for candidate in range(dim):
+        w = mvdr_oracle(psds, candidate, eps)
+        num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
+        den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
+        score = float(np.mean(num / den))
+        if best_score is None or score > best_score:
+            best, best_score = candidate, score
     return best

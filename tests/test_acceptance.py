@@ -16,8 +16,6 @@ import pytest
 
 from gsskit import (
     SAMPLE_RATE,
-    ActivityMask,
-    DirectionalObservations,
     EmConfig,
     PipelineConfig,
     PsdSet,
@@ -49,7 +47,17 @@ from gsskit import (
 )
 from gsskit.activity import _overlap_samples, overlap_word_counts
 from gsskit.io import dump_json, write_wav
-from oracles import oracle_masks, permutation_consistency
+from oracles import (
+    echo_scene,
+    lagged_projection_energy,
+    oracle_masks,
+    permutation_consistency,
+    random_activity,
+    random_observations,
+    random_psd,
+    rasterize,
+    reference_selection_oracle,
+)
 
 
 def criterion(label):
@@ -92,32 +100,12 @@ def test_stft_round_trip():
 # A2: dereverberation against a synthetic lagged echo
 
 
-def echo_scene(amp, channels, frames, freqs, seed, lag=3):
-    rng = np.random.default_rng(seed)
-    dry = (
-        rng.standard_normal((channels, frames, freqs))
-        + 1j * rng.standard_normal((channels, frames, freqs))
-    ) / np.sqrt(2)
-    coeff = amp * np.exp(2j * np.pi * rng.random((channels, freqs)))
-    obs = dry.copy()
-    obs[:, lag:] += coeff[:, None, :] * dry[:, :-lag]
-    return dry, obs
-
-
-def lagged_projection_energy(residual, dry, lag, first):
-    """Energy of the residual along the delayed dry signal, per (m, f)."""
-    reg = dry[:, first - lag : dry.shape[1] - lag, :]
-    num = np.abs(np.einsum("mtf,mtf->mf", np.conj(reg), residual[:, first:, :])) ** 2
-    den = np.einsum("mtf,mtf->mf", np.conj(reg), reg).real
-    return float(np.sum(num / den))
-
-
 @criterion("A2 dereverberation: lag-3 echo down >= 20 dB, objective monotone, < 30 s")
 def test_dereverberation_suppresses_lagged_echo():
     started = time.perf_counter()
     lag = 3
     dry, obs = echo_scene(0.2, 4, 20000, 64, seed=11, lag=lag)
-    spec = Spectrogram(obs, StftConfig(fft_size=126, shift=32), SAMPLE_RATE)
+    spec = Spectrogram(obs, StftConfig(fft_size=126, shift=32))
     config = WpeConfig(taps=4, delay=2, iterations=3)
     out, objective = wpe_dereverberate(spec, config)
 
@@ -137,23 +125,6 @@ def test_dereverberation_suppresses_lagged_echo():
 
 # ---------------------------------------------------------------------------
 # A3: guided mixture-model EM posterior contract
-
-
-def random_observations(rng, frames, freqs, channels):
-    data = rng.standard_normal((frames, freqs, channels)) + 1j * rng.standard_normal(
-        (frames, freqs, channels)
-    )
-    units = data / np.linalg.norm(data, axis=2, keepdims=True)
-    return DirectionalObservations(units, np.ones((frames, freqs), bool))
-
-
-def random_activity(rng, classes, frames, density=0.6):
-    active = rng.random((classes, frames)) < density
-    active[0] = True
-    for k in range(1, classes):
-        if not active[k].any():
-            active[k, rng.integers(frames)] = True
-    return ActivityMask(active)
 
 
 @criterion(
@@ -271,35 +242,6 @@ def test_ban_gain_isotropic_case():
 
 # ---------------------------------------------------------------------------
 # A7: reference channel scoring against exhaustive search
-
-
-def random_psd(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return a @ a.conj().T + 0.1 * np.eye(dim)
-
-
-def mvdr_oracle(psds, reference, eps=1e-6):
-    freqs, dim, _ = psds.target.shape
-    weights = np.zeros((freqs, dim), complex)
-    for f in range(freqs):
-        phi_nn = psds.distortion[f]
-        loaded = phi_nn + (eps * np.trace(phi_nn).real / dim) * np.eye(dim)
-        numer = np.linalg.inv(loaded) @ psds.target[f]
-        weights[f] = numer[:, reference] / np.trace(numer)
-    return weights
-
-
-def reference_selection_oracle(psds, eps=1e-6):
-    dim = psds.target.shape[1]
-    best, best_score = 0, None
-    for candidate in range(dim):
-        w = mvdr_oracle(psds, candidate, eps)
-        num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
-        den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
-        score = float(np.mean(num / den))
-        if best_score is None or score > best_score:
-            best, best_score = candidate, score
-    return best
 
 
 @criterion("A7 reference selection: equals brute force on 50 random covariance sets")
@@ -449,13 +391,6 @@ def test_context_shapes_masks_not_psd_frames():
 
 # ---------------------------------------------------------------------------
 # A10: overlap analytics against a dense per-sample oracle
-
-
-def rasterize(intervals, length):
-    dense = np.zeros(length, bool)
-    for a, b in intervals:
-        dense[max(0, a) : min(length, b)] = True
-    return dense
 
 
 def other_speaker_cover(utterance, activity):

@@ -27,13 +27,7 @@ from gsskit.activity import (
     parse_time,
     subtract_intervals,
 )
-
-
-def rasterize(intervals, length):
-    dense = np.zeros(length, bool)
-    for a, b in intervals:
-        dense[max(0, a) : min(length, b)] = True
-    return dense
+from oracles import rasterize
 
 
 def intervals_from_dense(dense):

@@ -6,8 +6,6 @@ import pytest
 
 from gsskit import (
     PsdSet,
-    Spectrogram,
-    StftConfig,
     apply_beamformer,
     apply_target_mask,
     ban_postfilter,
@@ -16,22 +14,12 @@ from gsskit import (
     select_reference,
 )
 from gsskit.beamforming import _reference_scores
-
-
-def make_spec(bins):
-    channels, frames, freqs = bins.shape
-    config = StftConfig(fft_size=(freqs - 1) * 2, shift=max(1, (freqs - 1) // 2))
-    return Spectrogram(bins, config, 16000)
+from oracles import make_spec, mvdr_oracle, random_psd, reference_selection_oracle
 
 
 def random_posterior(rng, classes, frames, freqs):
     gamma = rng.random((classes, frames, freqs))
     return gamma / gamma.sum(axis=0, keepdims=True)
-
-
-def random_psd(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return a @ a.conj().T + 0.1 * np.eye(dim)
 
 
 def random_psd_set(rng, freqs, dim):
@@ -66,20 +54,6 @@ def masked_covariance_oracle(bins, mask):
             acc /= frames
         out[f] = acc
     return out
-
-
-def mvdr_oracle(psds, reference, eps=1e-6):
-    """Souden solution via explicit per-frequency inverses."""
-    freqs, dim, _ = psds.target.shape
-    weights = np.zeros((freqs, dim), complex)
-    for f in range(freqs):
-        phi_nn = psds.distortion[f]
-        trace = np.trace(phi_nn).real
-        loaded = phi_nn + (eps * trace / dim) * np.eye(dim)
-        numer = np.linalg.inv(loaded) @ psds.target[f]
-        lam = np.trace(numer)
-        weights[f] = numer[:, reference] / lam
-    return weights
 
 
 def test_estimate_psds_matches_outer_product_oracle():
@@ -212,19 +186,6 @@ def test_mvdr_rejects_bad_reference():
     psds = random_psd_set(rng, 2, 3)
     with pytest.raises(ValueError, match="reference channel"):
         mvdr_souden(psds, 3)
-
-
-def reference_selection_oracle(psds, eps=1e-6):
-    dim = psds.target.shape[1]
-    best, best_score = 0, None
-    for candidate in range(dim):
-        w = mvdr_oracle(psds, candidate, eps)
-        num = np.einsum("fd,fde,fe->f", w.conj(), psds.target, w).real
-        den = np.einsum("fd,fde,fe->f", w.conj(), psds.distortion, w).real
-        score = float(np.mean(num / den))
-        if best_score is None or score > best_score:
-            best, best_score = candidate, score
-    return best
 
 
 def test_select_reference_matches_brute_force():

@@ -236,7 +236,7 @@ ZERO_RATE_WAV = _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16))
            _chunk(b"data", b"")),
      r": block align 3 does not fit 2 channels of 16-bit samples$"),
     (NONFINITE_WAV, r": waveform samples must be finite$"),
-    (ZERO_RATE_WAV, r": sample_rate must be at least 1, got 0$"),
+    (ZERO_RATE_WAV, r": sample_rate must be 16000 Hz, got 0 Hz$"),
 ])
 def test_read_wav_rejects_other_encodings_naming_the_file(tmp_path, content, message):
     path = tmp_path / "bad.wav"
@@ -249,6 +249,9 @@ def test_read_wav_rejects_other_encodings_naming_the_file(tmp_path, content, mes
 def test_run_batch_row_names_the_wav_it_rejects(tmp_path, content):
     path = tmp_path / "bad.wav"
     path.write_bytes(content)
+    # The annotations are read and checked before the audio, so they exist.
+    dump_json([{"session_id": "S", "speaker_id": "A", "start_time": "0:00:00.00",
+                "end_time": "0:00:00.10", "words": "a"}], tmp_path / "annotations.json")
     entry = {"session_id": "S", "audio": {"U01": str(path)},
              "annotations": str(tmp_path / "annotations.json")}
     report = run_batch({"sessions": [entry]}, PipelineConfig(output_dir=str(tmp_path / "out")))
@@ -292,6 +295,11 @@ def test_read_wav_reads_any_stdlib_pcm_file(channels, frames, width, rate, data)
             out.setsampwidth(width)
             out.setframerate(rate)
             out.writeframes(payload)
+        if rate != SAMPLE_RATE:  # the one rate rule, behind the file's path
+            with pytest.raises(ValueError, match=rf"pcm\.wav: sample_rate must be {SAMPLE_RATE} "
+                                                 rf"Hz, got {rate} Hz$"):
+                read_wav(path)
+            return
         back = read_wav(path)
     # Sample by sample: 8-bit PCM is unsigned around 128, wider PCM is
     # signed little-endian; full scale is 2 ** (bits - 1).

@@ -14,23 +14,7 @@ from gsskit import (
     em_fit,
     normalize_observations,
 )
-
-
-def random_observations(rng, frames, freqs, channels):
-    data = rng.standard_normal((frames, freqs, channels)) + 1j * rng.standard_normal(
-        (frames, freqs, channels)
-    )
-    units = data / np.linalg.norm(data, axis=2, keepdims=True)
-    return DirectionalObservations(units, np.ones((frames, freqs), bool))
-
-
-def random_activity(rng, classes, frames, density=0.6):
-    active = rng.random((classes, frames)) < density
-    active[0] = True
-    for k in range(1, classes):
-        if not active[k].any():
-            active[k, rng.integers(frames)] = True
-    return ActivityMask(active)
+from oracles import random_activity, random_observations
 
 
 def steered_observations(rng, direction, frames, freqs, wobble=0.05):
@@ -67,7 +51,7 @@ def test_normalize_observations_unit_norm_and_zero_handling():
     rng = np.random.default_rng(0)
     bins = rng.standard_normal((3, 20, 33)) + 1j * rng.standard_normal((3, 20, 33))
     bins[:, 4, 7] = 0.0
-    obs = normalize_observations(Spectrogram(bins, config, 16000))
+    obs = normalize_observations(Spectrogram(bins, config))
     norms = np.linalg.norm(obs.units, axis=2)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     assert not obs.valid[4, 7]
@@ -86,7 +70,7 @@ def test_normalize_observations_matches_where_expression():
         )
         bins[:, 5, :] = 0.0
         bins[:, :, 9] = 0.0
-        obs = normalize_observations(Spectrogram(bins, config, 16000))
+        obs = normalize_observations(Spectrogram(bins, config))
         data = bins.transpose(1, 2, 0)
         norm = np.linalg.norm(data, axis=-1)
         valid = norm > 0.0
@@ -244,7 +228,7 @@ def seeded_case(seed, frames, freqs, channels, classes):
     data[3, 1] = 0.0
     data[frames // 2, :] = 0.0
     stft_config = StftConfig(fft_size=2 * (freqs - 1), shift=freqs - 1)
-    spec = Spectrogram(data.transpose(2, 0, 1), stft_config, 16000)
+    spec = Spectrogram(data.transpose(2, 0, 1), stft_config)
     obs = normalize_observations(spec)
     active = np.zeros((classes, frames), bool)
     active[0] = True
@@ -304,7 +288,7 @@ def invariance_case(seed=31, frames=60, freqs=7, channels=4, classes=3):
     bins = rng.standard_normal((channels, frames, freqs)) + 1j * rng.standard_normal(
         (channels, frames, freqs)
     )
-    spec = Spectrogram(bins, StftConfig(fft_size=2 * (freqs - 1), shift=freqs - 1), 16000)
+    spec = Spectrogram(bins, StftConfig(fft_size=2 * (freqs - 1), shift=freqs - 1))
     active = np.zeros((classes, frames), bool)
     active[0] = True
     for k in range(1, classes):

@@ -241,10 +241,8 @@ SCENE = {
     "duration": 1.0,
     "channels": 3,
     "sources": [
-        {"speaker": "A", "kind": "noise", "band": [300, 2500], "gain": 0.5,
-         "activity": [[0.1, 0.6]]},
-        {"speaker": "B", "kind": "chirp", "sweep": [200, 3000], "words_per_second": 3,
-         "activity": [[0.4, 0.9]]},
+        {"speaker": "A", "kind": "noise", "band": [300, 2500], "activity": [[0.1, 0.6]]},
+        {"speaker": "B", "kind": "chirp", "sweep": [200, 3000], "activity": [[0.4, 0.9]]},
     ],
     "mixing": {"kind": "reverb", "taps": 16, "max_delay": 4, "decay": 4.0, "tail_gain": 0.3},
     "snr_db": 20,

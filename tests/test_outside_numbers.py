@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsskit import PipelineConfig, Spectrogram, StftConfig, Utterance, Waveform, istft
+from gsskit import SAMPLE_RATE, PipelineConfig, Spectrogram, StftConfig, Utterance, Waveform, istft
 from gsskit.activity import build_activity, extend_context
 from gsskit.pipeline import _check_entry
 from gsskit.simulate import _mixing_params
@@ -26,7 +26,7 @@ OUTSIDE_NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 
-SPEC = Spectrogram(np.zeros((1, 10, 33), complex), StftConfig(fft_size=64, shift=16), 16000)
+SPEC = Spectrogram(np.zeros((1, 10, 33), complex), StftConfig(fft_size=64, shift=16))
 UTTERANCE = Utterance("S", "A", 0, 16, ())
 ENTRY = {"session_id": "S", "audio": {"U01": "U01.wav"}, "annotations": "a.json"}
 
@@ -43,12 +43,11 @@ def activity_of_length(seconds):
 
 
 # (id, pattern the message must hold, call, integer, rule): the rule is
-# _check_number's bounds, and "optional" where None takes a default.
+# _check_number's bounds, "equal" for the one value accepted, and
+# "optional" where None takes a default.
 NUMBER_SITES = [
     ("Waveform.sample_rate", "sample_rate",
-     lambda v: Waveform(np.zeros((1, 4)), v), True, {"minimum": 1}),
-    ("Spectrogram.sample_rate", "sample_rate",
-     lambda v: Spectrogram(SPEC.bins, SPEC.config, v), True, {"minimum": 1}),
+     lambda v: Waveform(np.zeros((1, 4)), v), True, {"equal": SAMPLE_RATE}),
     ("build_activity.session_seconds", "session_seconds",
      activity_of_length, False, {"above": 0, "optional": True}),
     ("Utterance.start_samples", "start_samples",
@@ -73,12 +72,13 @@ NUMBER_SITES = [
 ]
 
 
-def obeys(value, integer, minimum=-math.inf, above=-math.inf, optional=False) -> bool:
+def obeys(value, integer, minimum=-math.inf, above=-math.inf, equal=None,
+          optional=False) -> bool:
     kind = numbers.Integral if integer else numbers.Real
     if optional and value is None:
         return True
     return (isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
-            and value >= minimum and value > above)
+            and value >= minimum and value > above and equal in (None, value))
 
 
 @pytest.mark.parametrize("pattern, call, integer, rule", [site[1:] for site in NUMBER_SITES],

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import wave
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +41,17 @@ def small_scene(seed=11):
         "snr_db": 25,
     }
     return simulate_scene(spec, seed=seed)
+
+
+def write_wav_at(path, samples, rate):
+    """``samples`` as a 16-bit PCM WAV labelled ``rate`` Hz, which
+    write_wav, taking a 16 kHz Waveform only, cannot write."""
+    pcm = np.round(samples / np.abs(samples).max() * 0.95 * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as out:
+        out.setnchannels(len(pcm))
+        out.setsampwidth(2)
+        out.setframerate(rate)
+        out.writeframes(pcm.T.tobytes())
 
 
 def fast_config(**overrides):
@@ -720,6 +732,29 @@ def test_run_batch_fails_the_session_on_malformed_silences(tmp_path):
     assert report["failures"] == 1
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("annotation_format", 5,
+     "manifest entry 0 'annotation_format' must be 'native' or 'chime5', got 5"),
+    ("silences", {"A": [[0.8, 0.2]]},
+     "silences of speaker A, span 0 must be [start, end] with finite start < end, got [0.8, 0.2]"),
+])
+def test_run_batch_checks_every_input_document_before_reading_audio(
+    tmp_path, monkeypatch, key, value, message
+):
+    # The audio is the session's largest input, so a malformed annotation
+    # format or silence span fails the session before any WAV is read.
+    from gsskit import pipeline
+
+    manifest = write_session(tmp_path, small_scene())
+    manifest["sessions"][0][key] = value
+    reads = []
+    monkeypatch.setattr(pipeline, "read_wav", reads.append)
+    report = run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
+    (row,) = report["utterances"]
+    assert (row["status"], row["error"]) == ("failed", message)
+    assert reads == []
+
+
 def test_run_batch_fails_a_session_without_audio_for_a_config_array(tmp_path):
     manifest = write_session(tmp_path, small_scene())
     config = fast_config(arrays=("U02", "U01", "U03"), output_dir=str(tmp_path / "out"))
@@ -853,20 +888,19 @@ def test_cli_metrics_scores_every_signal_over_the_common_span(tmp_path, capsys, 
     assert len([r for r in caplog.records if "length mismatch" in r.message]) == 1
 
 
-def test_cli_metrics_rejects_signals_of_different_sample_rates(tmp_path, capsys):
-    # The same samples labelled 8 kHz would otherwise score 100 dB.
-    signal = Waveform(np.random.default_rng(6).uniform(-0.5, 0.5, (1, 1600)), SAMPLE_RATE)
-    write_wav(tmp_path / "est.wav", signal)
-    write_wav(tmp_path / "ref.wav", Waveform(signal.samples, 8000))
+def test_cli_metrics_rejects_a_file_not_at_16k(tmp_path, capsys):
+    # A pair at one other rate scores as well as a 16 kHz pair, but gsskit
+    # counts every time at 16 kHz, so the first file read is rejected.
+    samples = np.random.default_rng(6).uniform(-0.5, 0.5, (1, 1600))
+    for name in ("est.wav", "ref.wav"):
+        write_wav_at(tmp_path / name, samples, 48000)
     capsys.readouterr()
     assert cli_main(["metrics", "--est", str(tmp_path / "est.wav"),
                      "--ref", str(tmp_path / "ref.wav")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line.startswith("gsskit: error: ")
-    assert f"{tmp_path / 'est.wav'} at 16000 Hz" in line
-    assert f"{tmp_path / 'ref.wav'} at 8000 Hz" in line
+    assert captured.err.splitlines() == [
+        f"gsskit: error: {tmp_path / 'est.wav'}: sample_rate must be 16000 Hz, got 48000 Hz"]
 
 
 @pytest.mark.parametrize("option", ["est", "ref", "mix"])
@@ -975,7 +1009,7 @@ def _analyze_overlap(tmp_path, doc, *flags):
     return csv_path.read_text()
 
 
-def test_cli_analyze_overlap_golden_csv(tmp_path):
+def test_cli_analyze_overlap_golden_csv(tmp_path, capsys):
     assert _analyze_overlap(tmp_path, OVERLAP_DOC) == (
         "bin_lo,bin_hi,word_fraction\n"
         "0,20,0.076923\n"
@@ -1002,6 +1036,11 @@ def test_cli_analyze_overlap_golden_csv(tmp_path):
         "S3,60,80,0.000000\n"
         "S3,80,100,0.000000\n"
     )
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    assert cli_main(["analyze-overlap", "--annotations", str(tmp_path / "ann.json"),
+                     "--per-session"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "hist.csv").read_bytes()
     zero_words = [row for row in OVERLAP_DOC if row["session_id"] == "S3"]
     assert _analyze_overlap(tmp_path, zero_words) == (
         "bin_lo,bin_hi,word_fraction\n"
@@ -1069,20 +1108,23 @@ def test_cli_analyze_overlap_warns_only_about_what_it_writes(tmp_path, caplog):
 
 
 def test_non_16k_audio_is_rejected(tmp_path):
+    # Annotation times count 16 kHz samples: 48 kHz audio would be enhanced
+    # at the wrong times, so Waveform refuses it wherever it comes from.
     scene = small_scene()
-    utterances = parse_annotations(scene.annotations)
-    activity = build_activity(utterances, scene.mixture.duration)
-    audio = Waveform(scene.mixture.samples, 48000)
-    with pytest.raises(ValueError, match=r"48000 Hz.*16000 Hz"):
-        enhance_utterance(utterances[0], audio, activity, fast_config())
+    message = "sample_rate must be 16000 Hz, got 48000 Hz"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Waveform(scene.mixture.samples, 48000)
 
     manifest = write_session(tmp_path, scene)
-    write_wav(manifest["sessions"][0]["audio"]["U01"], audio)
+    path = manifest["sessions"][0]["audio"]["U01"]
+    write_wav_at(path, scene.mixture.samples, 48000)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_wav(path)
     report = run_batch(manifest, fast_config(output_dir=str(tmp_path / "out")))
     assert report["failures"] == 1
     (row,) = report["utterances"]
     assert row["status"] == "failed"
-    assert "48000 Hz" in row["error"] and "16000 Hz" in row["error"]
+    assert row["error"] == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("fault", ["48k", "missing"])
@@ -1092,7 +1134,7 @@ def test_run_batch_continues_after_failed_session(tmp_path, fault):
     bad = dict(good, session_id="BAD")
     if fault == "48k":
         bad["audio"] = {"U01": str(tmp_path / "fast.wav")}
-        write_wav(bad["audio"]["U01"], Waveform(scene.mixture.samples, 48000))
+        write_wav_at(bad["audio"]["U01"], scene.mixture.samples, 48000)
     else:
         bad["audio"] = {"U01": str(tmp_path / "absent.wav")}
     dump_json({"sessions": [bad, good]}, tmp_path / "manifest.json")
@@ -1530,8 +1572,7 @@ def reference_stft(waveform, config):
     padded = np.pad(padded, ((0, 0), (0, max(0, total - padded.shape[1]))))
     strided = np.lib.stride_tricks.sliding_window_view(padded, config.fft_size, axis=1)
     segments = strided[:, :: config.shift][:, :frames] * _analysis_window(config)
-    return Spectrogram(np.fft.rfft(segments, n=config.fft_size, axis=-1), config,
-                       waveform.sample_rate)
+    return Spectrogram(np.fft.rfft(segments, n=config.fft_size, axis=-1), config)
 
 
 @pytest.mark.parametrize("channels, length", [(1, 700), (4, 16000), (6, 333)])

@@ -49,19 +49,20 @@ def test_waveform_validation():
         Waveform(np.zeros(10), 16000)
     with pytest.raises(ValueError, match="finite"):
         Waveform(np.array([[0.0, np.nan]]), 16000)
-    with pytest.raises(ValueError, match="sample_rate"):
-        Waveform(np.zeros((1, 10)), 0)
-    mono = Waveform(np.arange(5.0)[None], 8000)
+    for rate in (0, 8000, 48000):
+        with pytest.raises(ValueError, match=f"^sample_rate must be 16000 Hz, got {rate} Hz$"):
+            Waveform(np.zeros((1, 10)), rate)
+    mono = Waveform(np.arange(5.0)[None], 16000)
     assert mono.samples.shape == (1, 5)
-    assert mono.duration == 5 / 8000
+    assert mono.duration == 5 / 16000
 
 
 def test_spectrogram_validation():
     config = StftConfig(fft_size=16, shift=4)
     with pytest.raises(ValueError, match="3-dim"):
-        Spectrogram(np.zeros((3, 9), complex), config, 16000)
+        Spectrogram(np.zeros((3, 9), complex), config)
     with pytest.raises(ValueError, match="bins"):
-        Spectrogram(np.zeros((1, 3, 7), complex), config, 16000)
+        Spectrogram(np.zeros((1, 3, 7), complex), config)
 
 
 def test_frame_count_matches_walk_oracle():
@@ -115,7 +116,6 @@ def test_stft_shape_and_dtype():
     spec = stft(wave, config)
     assert spec.bins.shape == (3, config.frame_count(1000), config.num_bins)
     assert spec.bins.dtype == np.complex128
-    assert spec.sample_rate == 16000
 
 
 def test_stft_of_zeros_is_zero():
@@ -193,14 +193,14 @@ def test_istft_pads_beyond_grid_with_zeros():
 def test_istft_rejects_non_overlapping_grid():
     # A hann window with no frame overlap leaves gaps and cannot reconstruct.
     config = StftConfig(fft_size=64, shift=64)
-    spec = Spectrogram(np.zeros((1, 10, 33), complex), config, 16000)
+    spec = Spectrogram(np.zeros((1, 10, 33), complex), config)
     with pytest.raises(ValueError, match="reconstruction unsupported"):
         istft(spec, 100)
 
 
 def test_istft_rejects_negative_length():
     config = StftConfig(fft_size=64, shift=16)
-    spec = Spectrogram(np.zeros((1, 10, 33), complex), config, 16000)
+    spec = Spectrogram(np.zeros((1, 10, 33), complex), config)
     with pytest.raises(ValueError, match="target_length"):
         istft(spec, -1)
 
@@ -217,12 +217,12 @@ def test_synthesis_frames_give_the_core_samples_of_the_whole_grid(fft_size, shif
     length = 40 * shift
     total = config.frame_count(length)
     bins = rng.standard_normal((2, total, config.num_bins, 2)) @ np.array([1.0, 1.0j])
-    spec = Spectrogram(bins, config, 16000)
+    spec = Spectrogram(bins, config)
     for _ in range(20):
         start = int(rng.integers(0, length))
         end = int(rng.integers(start + 1, length + 1))
         synth = config.synthesis_frames(config.frame_range(start, end, total), total)
-        part = Spectrogram(bins[:, synth.start:synth.stop], config, 16000)
+        part = Spectrogram(bins[:, synth.start:synth.stop], config)
         np.testing.assert_allclose(
             istft(part, end - start, offset=config.synthesis_offset(start, synth.start)).samples,
             istft(spec, end - start, offset=config.pad + start).samples,

@@ -202,7 +202,7 @@ SPAN = "must be [start, end] with finite start < end, got"
     (1, "activity", [[float("nan"), 0.5]], f"scene source 1 'activity', span 0 {SPAN} [nan, 0.5]"),
     (None, "duration", "x", "scene spec 'duration' must be a number, got str"),
     (None, "channels", 2.5, "scene spec 'channels' must be an integer, got float"),
-    (0, "gain", "loud", "scene source 0 'gain' must be a number, got str"),
+    (0, "gain", 0.5, "unknown scene source 0 keys: ['gain']"),
     (None, "snr_db", "x", "scene spec 'snr_db' must be a number, got str"),
     (None, "mixing", {"kind": "reverb", "taps": "many"},
      "scene mixing 'taps' must be an integer, got str"),
@@ -238,6 +238,7 @@ SPAN = "must be [start, end] with finite start < end, got"
     (None, "session_id", "a/b", "scene spec 'session_id' 'a/b' is not usable as a file name"),
     (None, "session_id", 5, "scene spec 'session_id' 5 is not usable as a file name"),
     (0, "kind", ["noise"], "scene source 0 'kind' must be 'noise' or 'chirp', got ['noise']"),
+    (1, "words_per_second", 3, "unknown scene source 1 keys: ['words_per_second']"),
 ])
 def test_cli_simulate_names_a_malformed_spec_value(tmp_path, capsys, source, key, value,
                                                     message):

@@ -4,33 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gsskit import Spectrogram, StftConfig, WpeConfig, simulate_scene, stft, wpe_dereverberate
-
-
-def make_spec(bins):
-    channels, frames, freqs = bins.shape
-    config = StftConfig(fft_size=(freqs - 1) * 2, shift=max(1, (freqs - 1) // 2))
-    return Spectrogram(bins, config, 16000)
-
-
-def echo_scene(amp, channels, frames, freqs, seed, lag=3):
-    rng = np.random.default_rng(seed)
-    dry = (
-        rng.standard_normal((channels, frames, freqs))
-        + 1j * rng.standard_normal((channels, frames, freqs))
-    ) / np.sqrt(2)
-    coeff = amp * np.exp(2j * np.pi * rng.random((channels, freqs)))
-    obs = dry.copy()
-    obs[:, lag:] += coeff[:, None, :] * dry[:, :-lag]
-    return dry, obs
-
-
-def lagged_projection_energy(residual, dry, lag, first):
-    """Energy of the residual along the delayed dry signal, per (m, f)."""
-    reg = dry[:, first - lag : dry.shape[1] - lag, :]
-    num = np.abs(np.einsum("mtf,mtf->mf", np.conj(reg), residual[:, first:, :])) ** 2
-    den = np.einsum("mtf,mtf->mf", np.conj(reg), reg).real
-    return float(np.sum(num / den))
+from gsskit import StftConfig, WpeConfig, simulate_scene, stft, wpe_dereverberate
+from oracles import echo_scene, lagged_projection_energy, make_spec
 
 
 @pytest.mark.parametrize(
